@@ -2,7 +2,7 @@
 //! roster of sessions from columnar segments versus replaying their WALs.
 //!
 //! The setup writes an identical reference roster twice — per-session
-//! JSON-lines WALs with one commit marker per round, exactly what a
+//! binary WALs with one commit marker per round, exactly what a
 //! persistent daemon leaves behind — then folds one copy into segments
 //! (retiring its WALs) and leaves the other on the WAL tier. The measured
 //! phase cold-resumes every session from each tier and reports:
@@ -16,8 +16,9 @@
 //!   block bytes actually fetched.
 //!
 //! Both paths must reconstruct bit-identical per-module state (the binary
-//! exits non-zero otherwise), and the segment path must be faster than the
-//! WAL path — the number this subsystem is accountable for.
+//! exits non-zero otherwise), and cold WAL replay must land within 2× of
+//! the segment load: the binary log keeps a session that has not been
+//! folded yet about as cheap to resume as one that has.
 //!
 //! ```text
 //! cargo run -p avoc-bench --release --bin bench_store -- [--quick] [--out PATH]
@@ -203,10 +204,10 @@ fn main() {
         eprintln!("REGRESSION: segment resume state differs from WAL replay state");
         failed = true;
     }
-    if segment_load_ms >= wal_replay_ms {
+    if wal_replay_ms > 2.0 * segment_load_ms {
         eprintln!(
-            "REGRESSION: segment cold-resume ({segment_load_ms:.2} ms) is not faster than \
-             WAL replay ({wal_replay_ms:.2} ms)"
+            "REGRESSION: WAL replay ({wal_replay_ms:.2} ms) is more than 2x the segment \
+             cold-resume ({segment_load_ms:.2} ms)"
         );
         failed = true;
     }

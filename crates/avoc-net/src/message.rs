@@ -103,12 +103,12 @@
 //! (or a daemon that just migrated a session away) tells a client which
 //! node owns a session now; [`Message::ExportSession`] asks a daemon to
 //! quiesce a session at a round boundary and ship it; [`Message::SessionState`]
-//! carries the shipped state — the meta sidecar and compacted WAL, as raw
+//! carries the shipped state — the identity sidecar and compacted WAL, as raw
 //! byte blobs — from source to gateway and gateway to target. An import is
 //! acknowledged by the existing tag-12 `Resumed { warm: true }`.
 //!
 //! Tags 17 and 18 are *cluster verbs*, not tenant verbs: they move whole
-//! sessions — including the resume token inside the meta sidecar — so they
+//! sessions — including the resume token inside the sidecar — so they
 //! carry a cluster credential (`auth`) that a daemon checks against its
 //! configured inter-node secret before acting. A daemon with no secret
 //! configured refuses them outright, so a standalone deployment exposes no
@@ -131,7 +131,7 @@
 //! session: u64 BE
 //! epoch: u64 BE
 //! auth: u64 BE     cluster credential (the shared inter-node secret)
-//! meta: u32 BE length + bytes (avoc-session-meta v1 sidecar)
+//! meta: u32 BE length + bytes (avoc-session-meta v2 identity sidecar)
 //! wal: u32 BE length + bytes (compacted history log)
 //! ```
 //!
@@ -364,7 +364,7 @@ pub enum Message {
         /// inter-node secret or the import is refused — a forged import
         /// would overwrite durable state with an attacker-chosen token.
         auth: u64,
-        /// `avoc-session-meta v1` sidecar bytes.
+        /// `avoc-session-meta v2` identity sidecar bytes.
         meta: Vec<u8>,
         /// Compacted history-log bytes.
         wal: Vec<u8>,

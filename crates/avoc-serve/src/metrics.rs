@@ -70,7 +70,7 @@ pub struct ServiceCounters {
     shard_queue_high_water: Vec<Gauge>,
     /// Service-wide fuse latency on the log-linear nanosecond scale.
     fuse_latency_ns: Histogram,
-    /// Checkpoint (WAL + meta write) latency.
+    /// Checkpoint (one WAL frame) latency.
     checkpoint_latency_ns: Histogram,
     /// WAL replay latency per recovered session.
     wal_replay_latency_ns: Histogram,
@@ -90,7 +90,7 @@ pub struct ServiceCounters {
     /// Sessions currently in degraded (memory-only) persistence; the
     /// `persistence` health domain is degraded while this is non-empty.
     degraded_ids: Mutex<HashSet<u64>>,
-    /// Checkpoint attempts that failed (WAL or meta write error).
+    /// Checkpoint attempts that failed (WAL write or store creation error).
     checkpoint_failures: Counter,
     /// Times any session entered degraded (memory-only) persistence.
     degraded_entered: Counter,
@@ -559,7 +559,7 @@ impl ServiceCounters {
         self.segment_load_latency_ns.record(ns);
     }
 
-    /// Counts a WAL open that had to truncate a torn final line.
+    /// Counts a WAL open that had to truncate a torn final frame.
     pub(crate) fn torn_tail_recovered(&self) {
         self.torn_tail_recoveries.inc();
     }
@@ -773,14 +773,14 @@ pub struct CountersSnapshot {
     pub resumed_sessions: u64,
     /// Client resume requests received (each is one retry of a session).
     pub retries: u64,
-    /// Bytes written by session checkpoints (WAL appends + meta rewrites).
+    /// Bytes written by session checkpoints (WAL appends).
     pub checkpoint_bytes: u64,
     /// Total time spent replaying session WALs, milliseconds.
     pub wal_replay_ms: f64,
     /// Total time spent cold-resuming sessions from the segment tier,
     /// milliseconds — the number `wal_replay_ms` is benchmarked against.
     pub segment_load_ms: f64,
-    /// WAL opens that truncated a torn final line (crash artefacts
+    /// WAL opens that truncated a torn final frame (crash artefacts
     /// recovered, not errors).
     pub torn_tail_recoveries: u64,
     /// Segment-tier compaction passes completed.
@@ -789,7 +789,8 @@ pub struct CountersSnapshot {
     pub segment_rounds_folded: u64,
     /// Bytes of segment files written by compaction.
     pub segment_bytes_written: u64,
-    /// Checkpoint attempts that failed (WAL or meta write error).
+    /// Checkpoint attempts that failed (WAL write or store creation
+    /// error).
     pub checkpoint_failures: u64,
     /// Times any session entered degraded (memory-only) persistence.
     pub degraded_entered: u64,

@@ -1,27 +1,30 @@
-//! Durable session state: per-session WAL + metadata checkpoints.
+//! Durable session state: one per-session WAL plus an identity sidecar.
 //!
 //! With persistence enabled, every session owns two files in the state
 //! directory:
 //!
-//! * `session-<id:016x>.wal` — an [`avoc_store::FileHistory`] append-only
-//!   log of the engine's history records, written write-behind through
+//! * `session-<id:016x>.wal` — an [`avoc_store::FileHistory`] binary log of
+//!   the engine's history records, the fused verdict rows and a `commit`
+//!   round stamp per checkpoint, written write-behind through
 //!   [`avoc_store::CachedHistory`];
-//! * `session-<id:016x>.meta` — a small atomically-replaced (tmp + rename)
-//!   metadata file carrying the resume token, module count, governing spec,
-//!   high-water round and the unacked-results ring.
+//! * `session-<id:016x>.meta` — the session's identity (resume token,
+//!   module count, resumable flag, owning node, governing spec) as
+//!   `key=value` lines, replaced atomically (tmp + rename) only when the
+//!   identity changes: at open, on export (the `node=` flip) and on import.
 //!
-//! A checkpoint writes the WAL first, then the meta: a crash between the two
-//! leaves a meta that understates `high_round` against a WAL that is at
-//! least as new — recovery then re-fuses at most the rounds the client
-//! replays past the stale floor, never loses history. The meta format is
-//! hand-rolled `key=value` lines (not JSON) so `u64` resume tokens survive
-//! byte-exact — the vendored JSON shim may route integers through `f64`.
+//! A checkpoint is one WAL frame — dirty records, the verdict rows fused
+//! since the previous checkpoint, and the `commit` stamp — so it has one
+//! commit point: after a crash the frame either replays whole or is a torn
+//! tail `FileHistory` truncates away. Resume state comes from the log alone:
+//! the high-water round is the last `commit` stamp (or, once the log has
+//! been folded, the segment tier's last verdict), and the unacked-result
+//! ring is rebuilt from the logged verdict rows (read through
+//! [`TieredStore::verdicts_in`] once they have been folded).
 //!
-//! Corruption anywhere — unreadable meta, mid-file WAL damage — makes
+//! Corruption anywhere — unreadable sidecar, mid-file WAL damage — makes
 //! [`SessionStore::load`] return `None`, and the caller falls back to a
 //! fresh session whose AVOC engine re-bootstraps from live data, exactly as
-//! if persistence were off. A torn WAL *tail* (the expected artefact of a
-//! crash mid-append) is tolerated and truncated by `FileHistory` itself.
+//! if persistence were off.
 
 use avoc_core::history::HistoryStore;
 use avoc_core::ModuleId;
@@ -29,7 +32,7 @@ use avoc_net::SpecSource;
 use avoc_store::{
     session_wal_path, CachedHistory, Durability, FileHistory, TieredPin, TieredStore, VerdictRecord,
 };
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -39,9 +42,9 @@ use sysio::fio;
 /// Crash-safety configuration for [`crate::VoterService`].
 #[derive(Debug, Clone)]
 pub struct Persistence {
-    /// Where session WALs and metadata live. `None` disables persistence
-    /// entirely (the default): sessions are memory-only and a restart
-    /// re-bootstraps from live data.
+    /// Where session WALs and identity sidecars live. `None` disables
+    /// persistence entirely (the default): sessions are memory-only and a
+    /// restart re-bootstraps from live data.
     pub state_dir: Option<PathBuf>,
     /// `true` fsyncs every WAL append ([`Durability::Fsync`]); the default
     /// flushes to the OS and lets the kernel schedule the write — a daemon
@@ -50,20 +53,20 @@ pub struct Persistence {
     pub fsync: bool,
     /// Checkpoint cadence in fused rounds. `1` (the default) checkpoints
     /// after every round, making a hard kill bit-identically recoverable;
-    /// larger values amortise the meta rewrite and accept losing up to
-    /// `checkpoint_every - 1` rounds of history on a crash.
+    /// larger values amortise the per-checkpoint WAL write (one frame, one
+    /// flush) and accept losing up to `checkpoint_every - 1` rounds of
+    /// history on a crash.
     pub checkpoint_every: u64,
     /// Background compaction interval in milliseconds. `0` (the default)
     /// disables the compactor thread; the segment tier still opens, so
     /// previously folded segments remain readable and
     /// `VoterService::compact_now` works on demand.
     pub compact_interval_ms: u64,
-    /// This daemon's cluster node id, stamped into every meta sidecar it
-    /// writes. After a migration the source's leftover sidecar names the
+    /// This daemon's cluster node id, stamped into every identity sidecar
+    /// it writes. After a migration the source's leftover sidecar names the
     /// *target* node, so boot recovery skips it instead of double-owning
     /// the session. `0` (the default) is a valid id for single-node
-    /// deployments; sidecars written before this field existed carry no
-    /// `node=` line and are owned by whoever finds them.
+    /// deployments.
     pub node_id: u64,
     /// Shared inter-node secret gating the cluster verbs (`ExportSession` /
     /// `SessionState` import). Exports ship the session's resume token, so
@@ -104,25 +107,28 @@ impl Persistence {
 /// One re-emittable session result: `(round, value, voted)`.
 pub(crate) type StoredResult = (u64, Option<f64>, bool);
 
-/// The decoded contents of a session's meta file.
-#[derive(Debug, Clone)]
+/// How many recent results a session retains for re-emission on resume —
+/// exactly the verdict tail a replayed WAL keeps in memory. A client more
+/// than this many rounds behind its own acks loses the overwritten tail
+/// (counted via `results_dropped` at emission time, as any slow tenant's
+/// overflow is).
+pub(crate) const RESULT_RING: usize = avoc_store::VERDICT_TAIL;
+
+/// A session's identity: the decoded contents of its sidecar.
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct MetaState {
     pub(crate) token: u64,
     pub(crate) modules: u32,
     pub(crate) resumable: bool,
     pub(crate) spec: SpecSource,
-    pub(crate) high_round: Option<u64>,
-    /// Owning cluster node, when the sidecar was written by a node-aware
-    /// daemon. `None` for pre-cluster sidecars, which any node may own.
-    pub(crate) node: Option<u64>,
-    pub(crate) results: Vec<StoredResult>,
+    /// The cluster node owning the session.
+    pub(crate) node: u64,
 }
 
 impl MetaState {
-    /// Whether a daemon with id `node_id` owns this sidecar. Legacy
-    /// sidecars (no `node=` line) are owned by whoever finds them.
+    /// Whether a daemon with id `node_id` owns this sidecar.
     pub(crate) fn owned_by(&self, node_id: u64) -> bool {
-        self.node.is_none_or(|n| n == node_id)
+        self.node == node_id
     }
 }
 
@@ -131,26 +137,34 @@ impl MetaState {
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct LoadInfo {
     /// The seed state came from the segment tier alone (the WAL had been
-    /// retired by a fold) — the fast path this PR exists to prove.
+    /// retired by a fold).
     pub(crate) from_segments: bool,
-    /// `FileHistory` truncated a torn final line during replay.
+    /// `FileHistory` truncated a torn final frame during replay.
     pub(crate) torn_tail: bool,
 }
 
+/// A session's durable state as [`SessionStore::load`] found it.
+#[derive(Debug)]
+pub(crate) struct Loaded {
+    pub(crate) store: SessionStore,
+    pub(crate) meta: MetaState,
+    /// The log's last `commit` stamp — the highest fully checkpointed round.
+    pub(crate) high_round: Option<u64>,
+    /// The unacked-result ring as of `high_round`, rebuilt from the logged
+    /// verdict rows.
+    pub(crate) results: VecDeque<StoredResult>,
+    pub(crate) info: LoadInfo,
+}
+
 /// A session's durable state: its history WAL (write-behind cached) plus
-/// the meta checkpoint writer, pinned into the segment tier while alive.
+/// its identity sidecar, pinned into the segment tier while alive.
 pub(crate) struct SessionStore {
     history: CachedHistory<FileHistory>,
     session: u64,
     wal_path: PathBuf,
     meta_path: PathBuf,
-    token: u64,
-    modules: u32,
-    resumable: bool,
-    spec: SpecSource,
-    /// The node id stamped into every meta rewrite — the owning daemon's,
-    /// until an export flips it to the migration target's.
-    node: u64,
+    /// The identity the sidecar on disk holds.
+    meta: MetaState,
     /// `bytes_logged()` at the previous checkpoint, for the delta counter.
     logged_floor: u64,
     /// Highest verdict round already durable (WAL or segment) — verdicts at
@@ -171,6 +185,18 @@ impl std::fmt::Debug for SessionStore {
     }
 }
 
+/// Everything [`StoreRecipe::create`] needs to lay down a fresh session's
+/// durable state. A session whose store failed to create at open keeps its
+/// recipe, and its heal probe retries the creation.
+#[derive(Debug, Clone)]
+pub(crate) struct StoreRecipe {
+    pub(crate) dir: PathBuf,
+    pub(crate) session: u64,
+    pub(crate) meta: MetaState,
+    pub(crate) durability: Durability,
+    pub(crate) tiered: Option<Arc<TieredStore>>,
+}
+
 fn wal_path(dir: &Path, session: u64) -> PathBuf {
     // The name is shared with the segment compactor, which scans for these
     // files — one definition, owned by avoc-store.
@@ -181,7 +207,7 @@ fn meta_path(dir: &Path, session: u64) -> PathBuf {
     dir.join(format!("session-{session:016x}.meta"))
 }
 
-/// Session ids that have a meta file in `dir` (the recovery scan).
+/// Session ids that have a sidecar in `dir` (the recovery scan).
 pub(crate) fn list_sessions(dir: &Path) -> Vec<u64> {
     let Ok(entries) = std::fs::read_dir(dir) else {
         return Vec::new();
@@ -199,7 +225,7 @@ pub(crate) fn list_sessions(dir: &Path) -> Vec<u64> {
     ids
 }
 
-/// Reads and decodes a session's meta file; `None` if missing or corrupt.
+/// Reads and decodes a session's sidecar; `None` if missing or corrupt.
 pub(crate) fn read_meta(dir: &Path, session: u64) -> Option<MetaState> {
     let text = std::fs::read_to_string(meta_path(dir, session)).ok()?;
     parse_meta(&text)
@@ -216,7 +242,7 @@ pub(crate) fn read_exported_blobs(
     target_node: u64,
 ) -> Option<(Vec<u8>, Vec<u8>)> {
     let meta = read_meta(dir, session)?;
-    if meta.node != Some(target_node) {
+    if meta.node != target_node {
         return None;
     }
     let meta_bytes = std::fs::read(meta_path(dir, session)).ok()?;
@@ -224,32 +250,22 @@ pub(crate) fn read_exported_blobs(
     Some((meta_bytes, wal_bytes))
 }
 
-/// Decodes a shipped meta blob and re-stamps it with the importing node's
-/// id, returning the parsed state plus the exact bytes to land on disk.
-/// Everything but the `node=` line re-renders byte-identically (floats use
-/// the shortest round-trip form on both sides), so the imported sidecar is
-/// the exported one with ownership adopted. `None` when the blob is not
-/// UTF-8 or fails to parse.
+/// Decodes a shipped sidecar blob and re-stamps it with the importing
+/// node's id, returning the parsed identity plus the exact bytes to land on
+/// disk — the exported sidecar with ownership adopted. `None` when the
+/// blob is not UTF-8 or fails to parse.
 pub(crate) fn adopt_meta(meta: &[u8], node_id: u64) -> Option<(MetaState, Vec<u8>)> {
-    let text = std::str::from_utf8(meta).ok()?;
-    let mut state = parse_meta(text)?;
-    state.node = Some(node_id);
-    let ring: VecDeque<StoredResult> = state.results.iter().copied().collect();
-    let rendered = render_meta(
-        state.token,
-        state.modules,
-        state.resumable,
-        &state.spec,
-        state.high_round,
-        node_id,
-        &ring,
-    );
-    Some((state, rendered.into_bytes()))
+    let mut state = parse_meta(std::str::from_utf8(meta).ok()?)?;
+    state.node = node_id;
+    let rendered = render_meta(&state).into_bytes();
+    Some((state, rendered))
 }
 
+const META_HEADER: &str = "avoc-session-meta v2";
+
 fn parse_meta(text: &str) -> Option<MetaState> {
-    let mut lines = text.lines().peekable();
-    if lines.next()? != "avoc-session-meta v1" {
+    let mut lines = text.lines();
+    if lines.next()? != META_HEADER {
         return None;
     }
     let token = lines.next()?.strip_prefix("token=")?.parse().ok()?;
@@ -259,40 +275,7 @@ fn parse_meta(text: &str) -> Option<MetaState> {
         "1" => true,
         _ => return None,
     };
-    let high_round = match lines.next()?.strip_prefix("high_round=")? {
-        "none" => None,
-        n => Some(n.parse().ok()?),
-    };
-    // Still "v1": the optional `node=` line slots in before `results=`, so
-    // sidecars written before the cluster tier (no such line) keep parsing.
-    let node = match lines.peek()?.strip_prefix("node=") {
-        Some(n) => {
-            let id = n.parse().ok()?;
-            lines.next();
-            Some(id)
-        }
-        None => None,
-    };
-    let count: usize = lines.next()?.strip_prefix("results=")?.parse().ok()?;
-    let mut results = Vec::with_capacity(count.min(RESULT_RING));
-    for _ in 0..count {
-        let line = lines.next()?;
-        let mut parts = line.strip_prefix("r ")?.split(' ');
-        let round = parts.next()?.parse().ok()?;
-        let value = match parts.next()? {
-            "none" => None,
-            v => Some(v.parse().ok()?),
-        };
-        let voted = match parts.next()? {
-            "0" => false,
-            "1" => true,
-            _ => return None,
-        };
-        if parts.next().is_some() {
-            return None;
-        }
-        results.push((round, value, voted));
-    }
+    let node = lines.next()?.strip_prefix("node=")?.parse().ok()?;
     let spec = match lines.next()? {
         "spec=named" => SpecSource::Named(lines.collect::<Vec<_>>().join("\n")),
         "spec=inline" => SpecSource::Inline(lines.collect::<Vec<_>>().join("\n")),
@@ -303,106 +286,109 @@ fn parse_meta(text: &str) -> Option<MetaState> {
         modules,
         resumable,
         spec,
-        high_round,
         node,
-        results,
     })
 }
 
-#[allow(clippy::too_many_arguments)]
-fn render_meta(
-    token: u64,
-    modules: u32,
-    resumable: bool,
-    spec: &SpecSource,
-    high_round: Option<u64>,
-    node: u64,
-    results: &VecDeque<StoredResult>,
-) -> String {
-    let mut out = String::from("avoc-session-meta v1\n");
-    out.push_str(&format!("token={token}\n"));
-    out.push_str(&format!("modules={modules}\n"));
-    out.push_str(&format!("resumable={}\n", u8::from(resumable)));
-    match high_round {
-        Some(r) => out.push_str(&format!("high_round={r}\n")),
-        None => out.push_str("high_round=none\n"),
-    }
-    out.push_str(&format!("node={node}\n"));
-    out.push_str(&format!("results={}\n", results.len()));
-    for &(round, value, voted) in results {
-        match value {
-            // `{:?}` is Rust's shortest round-trip float form; `parse`
-            // restores the exact bits, which bit-identical resume needs.
-            Some(v) => out.push_str(&format!("r {round} {v:?} {}\n", u8::from(voted))),
-            None => out.push_str(&format!("r {round} none {}\n", u8::from(voted))),
-        }
-    }
-    let (kind, text) = match spec {
+fn render_meta(meta: &MetaState) -> String {
+    let (kind, text) = match &meta.spec {
         SpecSource::Named(n) => ("named", n.as_str()),
         SpecSource::Inline(v) => ("inline", v.as_str()),
     };
-    out.push_str(&format!("spec={kind}\n"));
-    out.push_str(text);
-    out
+    format!(
+        "{META_HEADER}\ntoken={}\nmodules={}\nresumable={}\nnode={}\nspec={kind}\n{text}",
+        meta.token,
+        meta.modules,
+        u8::from(meta.resumable),
+        meta.node,
+    )
 }
 
-/// How many recent results a session retains for re-emission on resume.
-/// A client more than this many rounds behind its own acks loses the
-/// overwritten tail (counted via `results_dropped` at emission time, as any
-/// slow tenant's overflow is).
-pub(crate) const RESULT_RING: usize = 256;
+/// Replaces the sidecar at `path` with `bytes` via tmp + rename: readers
+/// see the old identity or the new one, never a torn file.
+fn write_meta(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let tmp = path.with_extension("meta.tmp");
+    {
+        fio::check_op(Site::MetaWrite)?;
+        let mut f = std::fs::File::create(&tmp)?;
+        fio::write_all(Site::MetaWrite, &mut f, bytes)?;
+        fio::flush(Site::MetaWrite, &mut f)?;
+    }
+    fio::check_op(Site::MetaWrite)?;
+    std::fs::rename(&tmp, path)
+}
 
-impl SessionStore {
-    /// Creates fresh durable state for a new session, removing any stale
-    /// files a previous occupant of this id left behind and *forgetting*
-    /// its folded segment rows so the old life cannot bleed into the new.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn create(
-        dir: &Path,
-        session: u64,
-        token: u64,
-        modules: u32,
-        resumable: bool,
-        spec: SpecSource,
-        durability: Durability,
-        tiered: Option<&Arc<TieredStore>>,
-        node_id: u64,
-    ) -> io::Result<SessionStore> {
+/// The re-emittable result ring as of `high`: the logged verdict rows of
+/// the last [`RESULT_RING`] rounds — from the tail the WAL replay kept,
+/// topped up from the segment tier when a fold has moved older rows out of
+/// the log. Rows come back in round order.
+fn restore_ring(
+    wal_tail: Vec<VerdictRecord>,
+    tiered: Option<&Arc<TieredStore>>,
+    session: u64,
+    high: Option<u64>,
+    folded: bool,
+) -> VecDeque<StoredResult> {
+    let Some(high) = high else {
+        return VecDeque::new();
+    };
+    let lo = high.saturating_sub(RESULT_RING as u64 - 1);
+    let mut ring: BTreeMap<u64, StoredResult> = BTreeMap::new();
+    let mut keep = |v: VerdictRecord| {
+        if (lo..=high).contains(&v.round) {
+            ring.insert(v.round, (v.round, v.value, v.voted));
+        }
+    };
+    let wal_covers_window = wal_tail.first().is_some_and(|v| v.round <= lo);
+    if folded && !wal_covers_window {
+        if let Some(rows) = tiered.and_then(|t| t.verdicts_in(session, lo..=high).ok()) {
+            rows.into_iter().for_each(&mut keep);
+        }
+    }
+    // The WAL's copy of a round wins over a folded one.
+    wal_tail.into_iter().for_each(&mut keep);
+    ring.into_values().collect()
+}
+
+impl StoreRecipe {
+    /// Creates fresh durable state for a new session — an empty WAL, then
+    /// the identity sidecar — removing any stale files a previous occupant
+    /// of this id left behind and *forgetting* its folded segment rows so
+    /// the old life cannot bleed into the new.
+    pub(crate) fn create(&self) -> io::Result<SessionStore> {
+        let (dir, session) = (self.dir.as_path(), self.session);
         std::fs::create_dir_all(dir)?;
         // Pin first: a fold in flight for this id finishes before we touch
         // its files, and none can start while the session lives.
-        let pin = tiered.map(|t| t.pin(session));
-        if let Some(t) = tiered {
+        let pin = self.tiered.as_ref().map(|t| t.pin(session));
+        if let Some(t) = &self.tiered {
             t.forget_session(session)?;
         }
         let wal = wal_path(dir, session);
         let meta = meta_path(dir, session);
         let _ = std::fs::remove_file(&wal);
         let _ = std::fs::remove_file(&meta);
-        let history = CachedHistory::new(FileHistory::open_with(&wal, durability)?);
-        let store = SessionStore {
+        let history = CachedHistory::new(FileHistory::open_with(&wal, self.durability)?);
+        write_meta(&meta, render_meta(&self.meta).as_bytes())?;
+        Ok(SessionStore {
             history,
             session,
             wal_path: wal,
             meta_path: meta,
-            token,
-            modules,
-            resumable,
-            spec,
-            node: node_id,
+            meta: self.meta.clone(),
             logged_floor: 0,
             verdict_floor: None,
-            tiered: tiered.map(Arc::clone),
+            tiered: self.tiered.clone(),
             _pin: pin,
-        };
-        store.write_meta(None, &VecDeque::new())?;
-        Ok(store)
+        })
     }
+}
 
-    /// Loads a session's durable state. `None` when the checkpoint is
+impl SessionStore {
+    /// Loads a session's durable state. `None` when the sidecar or WAL is
     /// missing or corrupt — the caller falls back to a fresh session (AVOC
-    /// re-bootstraps). A torn WAL tail is repaired by `FileHistory` and does
-    /// not fail the load.
+    /// re-bootstraps). A torn WAL tail is repaired by `FileHistory` and
+    /// does not fail the load.
     ///
     /// Resume precedence for the history seed: the WAL overlays the segment
     /// tier (a WAL record is always at least as new as a folded one), and a
@@ -415,15 +401,14 @@ impl SessionStore {
         session: u64,
         durability: Durability,
         tiered: Option<&Arc<TieredStore>>,
-        node_id: u64,
-    ) -> Option<(SessionStore, MetaState, LoadInfo)> {
+    ) -> Option<Loaded> {
         // Pin before reading anything: an in-flight fold of this session
         // completes (or is skipped) before we open its files.
         let pin = tiered.map(|t| t.pin(session));
         let meta = read_meta(dir, session)?;
         let wal = wal_path(dir, session);
         let wal_existed = wal.exists();
-        let file = FileHistory::open_with(&wal, durability).ok()?;
+        let mut file = FileHistory::open_with(&wal, durability).ok()?;
         let mut info = LoadInfo {
             from_segments: false,
             torn_tail: file.recovered_torn_tail(),
@@ -432,17 +417,26 @@ impl SessionStore {
             Some(t) => t.session_summary(session).ok().flatten(),
             None => None,
         };
+        let folded_verdicts = summary.as_ref().and_then(|s| s.max_verdict_round);
+        // Every checkpoint's frame ends in a `commit` stamp, and a fold
+        // keeps every verdict row: the later of the two is the round the
+        // session had fully checkpointed.
+        let high_round = file.committed_round().max(folded_verdicts);
+        let results = restore_ring(
+            file.take_replayed_verdicts(),
+            tiered,
+            session,
+            high_round,
+            folded_verdicts.is_some(),
+        );
         let logged_floor = file.bytes_logged();
-        let verdict_floor = file
-            .max_verdict_round()
-            .max(summary.as_ref().and_then(|s| s.max_verdict_round));
+        let verdict_floor = file.max_verdict_round().max(folded_verdicts);
         // Merge tiers: segment latest state underneath, WAL records on top.
         // A WAL `clear` wipes everything before it — including segments.
         let history = match &summary {
             Some(s) if !file.saw_clear() => {
                 info.from_segments = !wal_existed;
-                let mut merged: std::collections::BTreeMap<ModuleId, f64> =
-                    s.latest.iter().copied().collect();
+                let mut merged: BTreeMap<ModuleId, f64> = s.latest.iter().copied().collect();
                 for (m, v) in file.snapshot() {
                     merged.insert(m, v);
                 }
@@ -455,19 +449,19 @@ impl SessionStore {
             session,
             wal_path: wal,
             meta_path: meta_path(dir, session),
-            token: meta.token,
-            modules: meta.modules,
-            resumable: meta.resumable,
-            spec: meta.spec.clone(),
-            // Loading adopts the session: subsequent meta rewrites stamp
-            // the loader's id (legacy sidecars gain one at first rewrite).
-            node: node_id,
+            meta: meta.clone(),
             logged_floor,
             verdict_floor,
             tiered: tiered.map(Arc::clone),
             _pin: pin,
         };
-        Some((store, meta, info))
+        Some(Loaded {
+            store,
+            meta,
+            high_round,
+            results,
+            info,
+        })
     }
 
     /// The history records to seed a restored engine with.
@@ -485,28 +479,28 @@ impl SessionStore {
         }
     }
 
-    /// Checkpoints: WAL first (one batched append + flush for the dirty
-    /// records, then verdict rows and a `commit` round stamp in a second
-    /// single write), then the meta file via tmp + rename. Returns the
-    /// bytes written by this checkpoint.
+    /// Checkpoints: one WAL frame holding the dirty history records, the
+    /// verdict rows the log does not have yet, and a `commit` stamp for
+    /// `high_round` — one write, one flush, no sidecar. Returns the bytes
+    /// written.
     ///
-    /// The `commit` stamp is what makes the WAL foldable: the compactor
-    /// folds only round-stamped entries, so a crash between the record
-    /// flush and the stamp leaves an in-flight tail the fold simply skips.
+    /// The `commit` stamp is what makes the WAL resumable and foldable: a
+    /// crash mid-frame leaves a torn tail that replay drops whole, so the
+    /// log's last stamp always names a round whose records and verdicts
+    /// are complete.
     ///
     /// # Errors
     ///
-    /// Propagates meta-file I/O errors, and reports a sick WAL (any append
-    /// since the last healthy checkpoint failed — e.g. `ENOSPC`) as
-    /// [`io::ErrorKind::Other`] so the caller's degradation state machine
-    /// can react; the staged history stays cached in memory either way.
+    /// Reports a sick WAL (any append since the last healthy checkpoint
+    /// failed — e.g. `ENOSPC`) as [`io::ErrorKind::Other`] so the caller's
+    /// degradation state machine can react; the staged history stays
+    /// cached in memory either way.
     pub(crate) fn checkpoint(
         &mut self,
         high_round: Option<u64>,
         results: &VecDeque<StoredResult>,
     ) -> io::Result<u64> {
-        self.history.flush();
-        let backing = self.history.backing_mut();
+        let records = self.history.take_pending();
         let fresh: Vec<VerdictRecord> = results
             .iter()
             .filter(|(round, ..)| self.verdict_floor.is_none_or(|f| *round > f))
@@ -516,16 +510,15 @@ impl SessionStore {
                 voted,
             })
             .collect();
-        let commit = match high_round {
-            Some(r) if backing.committed_round() != Some(r) => Some(r),
-            _ => None,
-        };
-        if !fresh.is_empty() || commit.is_some() {
-            backing.append_markers(&fresh, commit);
+        let backing = self.history.backing_mut();
+        let commit = high_round.filter(|&r| {
+            !records.is_empty() || !fresh.is_empty() || backing.committed_round() != Some(r)
+        });
+        if !records.is_empty() || !fresh.is_empty() || commit.is_some() {
+            backing.append_checkpoint(&records, &fresh, commit);
         }
         if backing.write_failed() {
-            // The meta must not advance past a WAL that lost entries; the
-            // verdict floor stays put so the next healthy checkpoint
+            // The verdict floor stays put so the next healthy checkpoint
             // re-logs what this one could not.
             return Err(io::Error::other(
                 "session WAL is sick: an append failed since the last healthy checkpoint",
@@ -534,37 +527,10 @@ impl SessionStore {
         if let Some(v) = fresh.last() {
             self.verdict_floor = self.verdict_floor.max(Some(v.round));
         }
-        let logged = self.history.backing().bytes_logged();
+        let logged = backing.bytes_logged();
         let wal_delta = logged.saturating_sub(self.logged_floor);
         self.logged_floor = logged;
-        let meta_bytes = self.write_meta(high_round, results)?;
-        Ok(wal_delta + meta_bytes)
-    }
-
-    fn write_meta(
-        &self,
-        high_round: Option<u64>,
-        results: &VecDeque<StoredResult>,
-    ) -> io::Result<u64> {
-        let text = render_meta(
-            self.token,
-            self.modules,
-            self.resumable,
-            &self.spec,
-            high_round,
-            self.node,
-            results,
-        );
-        let tmp = self.meta_path.with_extension("meta.tmp");
-        {
-            fio::check_op(Site::MetaWrite)?;
-            let mut f = std::fs::File::create(&tmp)?;
-            fio::write_all(Site::MetaWrite, &mut f, text.as_bytes())?;
-            fio::flush(Site::MetaWrite, &mut f)?;
-        }
-        fio::check_op(Site::MetaWrite)?;
-        std::fs::rename(&tmp, &self.meta_path)?;
-        Ok(text.len() as u64)
+        Ok(wal_delta)
     }
 
     /// Rebuilds the WAL wholesale from the in-memory record cache — the
@@ -596,15 +562,16 @@ impl SessionStore {
     }
 
     /// Quiesces this session's durable state for shipping to `target_node`:
-    /// takes a final checkpoint with ownership flipped to the target,
-    /// compacts the WAL so the shipped blob carries only live state, and
-    /// returns `(meta_bytes, wal_bytes)` read back from disk.
+    /// compacts the WAL down to the full live record set, appends a final
+    /// checkpoint (the whole result ring plus the `commit` stamp), flips
+    /// the sidecar's owner to the target, and returns
+    /// `(meta_bytes, wal_bytes)` read back from disk.
     ///
-    /// Ordering is the migration protocol's crash story: the meta names the
-    /// target *before* any bytes leave this node, so if the transfer dies
-    /// mid-flight this node's boot recovery skips the session (it is the
-    /// gateway's job to retry or re-place) rather than resurrecting a copy
-    /// that may also be running elsewhere.
+    /// Ordering is the migration protocol's crash story: the sidecar names
+    /// the target *before* any bytes leave this node, so if the transfer
+    /// dies mid-flight this node's boot recovery skips the session (it is
+    /// the gateway's job to retry or re-place) rather than resurrecting a
+    /// copy that may also be running elsewhere.
     ///
     /// # Errors
     ///
@@ -618,17 +585,22 @@ impl SessionStore {
         high_round: Option<u64>,
         results: &VecDeque<StoredResult>,
     ) -> io::Result<(Vec<u8>, Vec<u8>)> {
-        self.history.flush();
+        // The shipped WAL must carry every live record, including those a
+        // resume seeded from segments (which do not ship): log the whole
+        // cache, then compact it into a minimal log.
+        let live = self.history.snapshot();
+        self.history.discard_pending();
         let backing = self.history.backing_mut();
-        // Compact first: the rewrite folds the full record cache plus every
-        // retained verdict into a minimal log, so the shipped WAL does not
-        // carry the session's whole append history.
+        backing.set_batch(&live);
         backing.compact()?;
         self.logged_floor = backing.bytes_logged();
         self.verdict_floor = None;
-        self.node = target_node;
         self.checkpoint(high_round, results)?;
-        let meta = std::fs::read(&self.meta_path)?;
+        let flipped = MetaState {
+            node: target_node,
+            ..self.meta.clone()
+        };
+        let meta = render_meta(&flipped).into_bytes();
         let wal = std::fs::read(&self.wal_path)?;
         // Frame budget: session + epoch + auth + two length prefixes + header.
         const TRANSFER_OVERHEAD: usize = 1 + 8 + 8 + 8 + 4 + 4;
@@ -638,13 +610,15 @@ impl SessionStore {
                 "session state exceeds the transfer frame cap even after compaction",
             ));
         }
+        write_meta(&self.meta_path, &meta)?;
+        self.meta = flipped;
         Ok((meta, wal))
     }
 
-    /// Lands a shipped session's blobs in `dir` — WAL first, then the meta
-    /// via tmp + rename, mirroring the checkpoint ordering so a crash
-    /// between the two leaves no meta pointing at a missing WAL. Any prior
-    /// occupant of the id (files and folded segment rows) is cleared first.
+    /// Lands a shipped session's blobs in `dir` — WAL first, then the
+    /// sidecar via tmp + rename, so a crash between the two leaves no
+    /// sidecar pointing at a missing WAL. Any prior occupant of the id
+    /// (files and folded segment rows) is cleared first.
     pub(crate) fn write_imported(
         dir: &Path,
         session: u64,
@@ -657,20 +631,10 @@ impl SessionStore {
         if let Some(t) = tiered {
             t.forget_session(session)?;
         }
-        let wal_dst = wal_path(dir, session);
         let meta_dst = meta_path(dir, session);
         let _ = std::fs::remove_file(&meta_dst);
-        std::fs::write(&wal_dst, wal)?;
-        let tmp = meta_dst.with_extension("meta.tmp");
-        {
-            fio::check_op(Site::MetaWrite)?;
-            let mut f = std::fs::File::create(&tmp)?;
-            fio::write_all(Site::MetaWrite, &mut f, meta)?;
-            fio::flush(Site::MetaWrite, &mut f)?;
-        }
-        fio::check_op(Site::MetaWrite)?;
-        std::fs::rename(&tmp, &meta_dst)?;
-        Ok(())
+        std::fs::write(wal_path(dir, session), wal)?;
+        write_meta(&meta_dst, meta)
     }
 
     /// Abandons staged-but-unflushed history — the hard-kill path. The
@@ -702,22 +666,33 @@ mod tests {
         dir
     }
 
+    fn recipe(dir: &Path, session: u64, token: u64, spec: SpecSource, node: u64) -> StoreRecipe {
+        StoreRecipe {
+            dir: dir.to_path_buf(),
+            session,
+            meta: MetaState {
+                token,
+                modules: 3,
+                resumable: true,
+                spec,
+                node,
+            },
+            durability: Durability::Flush,
+            tiered: None,
+        }
+    }
+
+    fn load(dir: &Path, session: u64) -> Option<Loaded> {
+        SessionStore::load(dir, session, Durability::Flush, None)
+    }
+
     #[test]
-    fn checkpoint_round_trips_meta_and_history() {
+    fn checkpoint_round_trips_identity_history_and_ring() {
         let dir = tmpdir("roundtrip");
         let spec = SpecSource::Inline("{\"algorithm_name\": \"AVOC\"}".into());
-        let mut store = SessionStore::create(
-            &dir,
-            0x2a,
-            u64::MAX,
-            3,
-            true,
-            spec.clone(),
-            Durability::Flush,
-            None,
-            0,
-        )
-        .unwrap();
+        let mut store = recipe(&dir, 0x2a, u64::MAX, spec.clone(), 0)
+            .create()
+            .unwrap();
         store.note_history(&[(ModuleId::new(0), 0.75), (ModuleId::new(1), 1.0)]);
         let mut ring = VecDeque::new();
         ring.push_back((4u64, Some(19.700000000000003f64), true));
@@ -726,19 +701,19 @@ mod tests {
         assert!(bytes > 0);
         drop(store);
 
-        let (loaded, meta, _) = SessionStore::load(&dir, 0x2a, Durability::Flush, None, 0).unwrap();
-        assert_eq!(meta.token, u64::MAX, "token must survive byte-exact");
-        assert_eq!(meta.modules, 3);
-        assert!(meta.resumable);
-        assert_eq!(meta.spec, spec);
-        assert_eq!(meta.high_round, Some(5));
+        let loaded = load(&dir, 0x2a).unwrap();
+        assert_eq!(loaded.meta.token, u64::MAX, "token must survive byte-exact");
+        assert_eq!(loaded.meta.modules, 3);
+        assert!(loaded.meta.resumable);
+        assert_eq!(loaded.meta.spec, spec);
+        assert_eq!(loaded.high_round, Some(5), "the log's last commit stamp");
         // The awkward float round-trips exactly (bit-identity requirement).
         assert_eq!(
-            meta.results,
+            loaded.results,
             vec![(4, Some(19.700000000000003), true), (5, None, false)]
         );
         assert_eq!(
-            loaded.seed_records(),
+            loaded.store.seed_records(),
             vec![(ModuleId::new(0), 0.75), (ModuleId::new(1), 1.0)]
         );
         assert_eq!(list_sessions(&dir), vec![0x2a]);
@@ -749,72 +724,67 @@ mod tests {
     fn corrupt_meta_or_wal_loads_as_none() {
         let dir = tmpdir("corrupt");
         let spec = SpecSource::Named("avoc".into());
-        let mut store =
-            SessionStore::create(&dir, 7, 1, 2, true, spec, Durability::Flush, None, 0).unwrap();
-        store.note_history(&[(ModuleId::new(0), 0.5)]);
-        store.checkpoint(Some(0), &VecDeque::new()).unwrap();
-        drop(store);
+        for id in [7, 8] {
+            let mut store = recipe(&dir, id, 1, spec.clone(), 0).create().unwrap();
+            store.note_history(&[(ModuleId::new(0), 0.5)]);
+            store.checkpoint(Some(0), &VecDeque::new()).unwrap();
+            store.note_history(&[(ModuleId::new(0), 0.25)]);
+            store.checkpoint(Some(1), &VecDeque::new()).unwrap();
+        }
 
-        // Scribble over the meta: the load must degrade to None, not error.
+        // Scribble over the sidecar: the load must degrade to None, not error.
         std::fs::write(dir.join("session-0000000000000007.meta"), "garbage").unwrap();
-        assert!(SessionStore::load(&dir, 7, Durability::Flush, None, 0).is_none());
+        assert!(load(&dir, 7).is_none());
+        // Damage before the WAL's tail is corruption, not a torn append.
+        let wal = dir.join("session-0000000000000008.wal");
+        let mut bytes = std::fs::read(&wal).unwrap();
+        bytes[12] ^= 0x01;
+        std::fs::write(&wal, &bytes).unwrap();
+        assert!(load(&dir, 8).is_none());
         // Missing entirely behaves the same.
-        assert!(SessionStore::load(&dir, 99, Durability::Flush, None, 0).is_none());
+        assert!(load(&dir, 99).is_none());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn discard_drops_staged_history_and_remove_deletes_files() {
         let dir = tmpdir("discard");
-        let spec = SpecSource::Named("avoc".into());
-        let mut store =
-            SessionStore::create(&dir, 3, 9, 1, false, spec, Durability::Fsync, None, 0).unwrap();
+        let mut r = recipe(&dir, 3, 9, SpecSource::Named("avoc".into()), 0);
+        r.meta.resumable = false;
+        r.durability = Durability::Fsync;
+        let mut store = r.create().unwrap();
         store.note_history(&[(ModuleId::new(0), 0.4)]);
         store.checkpoint(Some(0), &VecDeque::new()).unwrap();
         store.note_history(&[(ModuleId::new(0), 0.9)]);
         store.discard(); // hard kill: the 0.9 write never lands
         drop(store);
-        let (loaded, meta, _) = SessionStore::load(&dir, 3, Durability::Flush, None, 0).unwrap();
-        assert!(!meta.resumable);
-        assert_eq!(loaded.seed_records(), vec![(ModuleId::new(0), 0.4)]);
-        loaded.remove();
+        let loaded = load(&dir, 3).unwrap();
+        assert!(!loaded.meta.resumable);
+        assert_eq!(loaded.store.seed_records(), vec![(ModuleId::new(0), 0.4)]);
+        loaded.store.remove();
         assert!(list_sessions(&dir).is_empty());
-        assert!(SessionStore::load(&dir, 3, Durability::Flush, None, 0).is_none());
+        assert!(load(&dir, 3).is_none());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn node_line_round_trips_and_legacy_metas_stay_parseable() {
+    fn sidecar_names_its_node_and_older_formats_are_not_ours() {
         let dir = tmpdir("node");
-        let spec = SpecSource::Named("avoc".into());
-        let store = SessionStore::create(
-            &dir,
-            11,
-            5,
-            2,
-            true,
-            spec.clone(),
-            Durability::Flush,
-            None,
-            7,
-        )
-        .unwrap();
+        let store = recipe(&dir, 11, 5, SpecSource::Named("avoc".into()), 7)
+            .create()
+            .unwrap();
         drop(store);
         let meta = read_meta(&dir, 11).unwrap();
-        assert_eq!(meta.node, Some(7));
+        assert_eq!(meta.node, 7);
         assert!(meta.owned_by(7));
         assert!(!meta.owned_by(3));
 
-        // A sidecar written before the cluster tier carries no node= line
-        // and must parse with node: None — owned by whoever finds it.
-        let legacy = "avoc-session-meta v1\ntoken=5\nmodules=2\nresumable=1\n\
-                      high_round=4\nresults=1\nr 4 19.5 1\nspec=named\navoc";
-        let meta = parse_meta(legacy).unwrap();
-        assert_eq!(meta.node, None);
-        assert!(meta.owned_by(0));
-        assert!(meta.owned_by(42));
-        assert_eq!(meta.high_round, Some(4));
-        assert_eq!(meta.results, vec![(4, Some(19.5), true)]);
+        // A v1 sidecar (it carried the high round and the result ring,
+        // beside a JSON-lines WAL) is not recovered: its log is unreadable
+        // now, so the session resumes cold instead.
+        let v1 = "avoc-session-meta v1\ntoken=5\nmodules=2\nresumable=1\n\
+                  high_round=4\nnode=7\nresults=1\nr 4 19.5 1\nspec=named\navoc";
+        assert!(parse_meta(v1).is_none());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -823,18 +793,7 @@ mod tests {
         let src = tmpdir("export-src");
         let dst = tmpdir("export-dst");
         let spec = SpecSource::Named("avoc".into());
-        let mut store = SessionStore::create(
-            &src,
-            0x5e,
-            77,
-            3,
-            true,
-            spec.clone(),
-            Durability::Flush,
-            None,
-            1,
-        )
-        .unwrap();
+        let mut store = recipe(&src, 0x5e, 77, spec.clone(), 1).create().unwrap();
         store.note_history(&[(ModuleId::new(0), 0.75), (ModuleId::new(2), 0.25)]);
         let mut ring = VecDeque::new();
         ring.push_back((9u64, Some(18.150000000000002f64), true));
@@ -844,24 +803,78 @@ mod tests {
         drop(store);
 
         // The source's leftover sidecar now names the target: node 1 no
-        // longer owns it, node 2 does.
+        // longer owns it, node 2 does — and the blob is what is on disk.
         let leftover = read_meta(&src, 0x5e).unwrap();
-        assert_eq!(leftover.node, Some(2));
+        assert_eq!(leftover.node, 2);
         assert!(!leftover.owned_by(1));
+        assert_eq!(
+            read_exported_blobs(&src, 0x5e, 2),
+            Some((meta_bytes.clone(), wal_bytes.clone()))
+        );
 
         // Landing the blobs on the target restores byte-exact state.
-        SessionStore::write_imported(&dst, 0x5e, &meta_bytes, &wal_bytes, None).unwrap();
-        let (loaded, meta, _) = SessionStore::load(&dst, 0x5e, Durability::Flush, None, 2).unwrap();
-        assert_eq!(meta.token, 77);
-        assert_eq!(meta.node, Some(2));
-        assert_eq!(meta.high_round, Some(9));
-        assert_eq!(meta.spec, spec);
-        assert_eq!(meta.results, vec![(9, Some(18.150000000000002), true)]);
+        let (adopted, rendered) = adopt_meta(&meta_bytes, 2).unwrap();
+        assert_eq!(rendered, meta_bytes, "only the owner could differ");
+        SessionStore::write_imported(&dst, 0x5e, &rendered, &wal_bytes, None).unwrap();
+        let loaded = load(&dst, 0x5e).unwrap();
+        assert_eq!(loaded.meta, adopted);
+        assert_eq!(loaded.meta.token, 77);
+        assert_eq!(loaded.meta.spec, spec);
+        assert_eq!(loaded.high_round, Some(9));
+        assert_eq!(loaded.results, vec![(9, Some(18.150000000000002), true)]);
         assert_eq!(
-            loaded.seed_records(),
+            loaded.store.seed_records(),
             vec![(ModuleId::new(0), 0.75), (ModuleId::new(2), 0.25)]
         );
         std::fs::remove_dir_all(&src).unwrap();
+        std::fs::remove_dir_all(&dst).unwrap();
+    }
+
+    /// Once a fold retires the WAL, resume state comes from the segment
+    /// tier: the high round is the last folded verdict, the ring is read
+    /// back through `verdicts_in`, and an export still ships every record.
+    #[test]
+    fn folded_sessions_resume_and_export_from_segments() {
+        let dir = tmpdir("folded");
+        let dst = tmpdir("folded-dst");
+        let tier = Arc::new(TieredStore::open(&dir).unwrap());
+        let mut r = recipe(&dir, 4, 8, SpecSource::Named("avoc".into()), 0);
+        r.tiered = Some(Arc::clone(&tier));
+        let mut store = r.create().unwrap();
+        let mut ring = VecDeque::new();
+        for round in 0..300u64 {
+            let trust = 0.5 + (round % 7) as f64 / 100.0;
+            store.note_history(&[(ModuleId::new(0), trust), (ModuleId::new(1), 1.0)]);
+            if ring.len() == RESULT_RING {
+                ring.pop_front();
+            }
+            ring.push_back((round, Some(18.0 + round as f64 / 8.0), round % 5 != 0));
+            store.checkpoint(Some(round), &ring).unwrap();
+        }
+        let expected_records = store.seed_records();
+        drop(store); // unpins the session so the fold may take it
+        let report = tier.compact().unwrap();
+        assert_eq!(report.wals_retired, 1);
+
+        let mut loaded = SessionStore::load(&dir, 4, Durability::Flush, Some(&tier)).unwrap();
+        assert!(loaded.info.from_segments);
+        assert_eq!(loaded.high_round, Some(299));
+        assert_eq!(loaded.results, ring, "the ring reads back through the tier");
+        assert_eq!(loaded.store.seed_records(), expected_records);
+
+        let (meta, wal) = loaded
+            .store
+            .export_blobs(1, loaded.high_round, &loaded.results)
+            .unwrap();
+        drop(loaded);
+        let (_, rendered) = adopt_meta(&meta, 1).unwrap();
+        SessionStore::write_imported(&dst, 4, &rendered, &wal, None).unwrap();
+        let shipped = load(&dst, 4).unwrap();
+        assert_eq!(shipped.store.seed_records(), expected_records);
+        assert_eq!(shipped.high_round, Some(299));
+        assert_eq!(shipped.results, ring);
+        drop(tier);
+        std::fs::remove_dir_all(&dir).unwrap();
         std::fs::remove_dir_all(&dst).unwrap();
     }
 }

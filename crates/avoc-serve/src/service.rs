@@ -496,9 +496,9 @@ impl VoterService {
                     sink: sink.clone(),
                     evict_if_full: self.admission == AdmissionPolicy::EvictIdle,
                 },
-                // Nothing to re-emit to the daemon's own sink; the client's
-                // eventual resume replays against its real ack floor.
-                last_acked: meta.high_round,
+                // Eager: the shard replays from the checkpoint's own high
+                // round, so nothing is re-emitted to the daemon's sink.
+                last_acked: None,
                 eager: true,
             };
             if self.links[shard].ctrl.send(cmd).is_ok() {
@@ -603,9 +603,6 @@ impl VoterService {
                 sink: sink.into(),
                 evict_if_full: self.admission == AdmissionPolicy::EvictIdle,
             },
-            // The importing daemon has nothing to re-emit; the client's own
-            // resume replays against its real ack floor.
-            high_round: parsed.high_round,
             rendered,
             wal: wal.to_vec(),
         };
@@ -1161,6 +1158,46 @@ mod tests {
             results_b.try_recv().unwrap(),
             Message::SessionResult { session: 2, .. }
         ));
+    }
+
+    #[test]
+    fn idle_sweep_evicts_the_silent_session_and_keeps_the_active_one() {
+        let cfg = ServeConfig {
+            shards: 1,
+            idle_ticks: 100,
+            ..ServeConfig::default()
+        };
+        let service = VoterService::start(cfg, registry());
+        let (sink_idle, results_idle) = channel::unbounded();
+        let (sink_busy, results_busy) = channel::unbounded();
+        let spec = SpecSource::Named("avoc".into());
+        service.open_session(1, 1, &spec, sink_idle).unwrap();
+        service.open_session(2, 1, &spec, sink_busy).unwrap();
+        // One reading per shard tick: session 1 speaks at tick 1 only.
+        service.feed(1, ModuleId::new(0), 0, 20.0).unwrap();
+        for round in 0..300u64 {
+            service.feed(2, ModuleId::new(0), round, 20.0).unwrap();
+            if round == 199 {
+                // Tick 201: session 1 went silent at tick 1, so the sweep
+                // at tick 128 — the first past its deadline — reaped it.
+                service.feed(1, ModuleId::new(0), 1, 20.0).unwrap();
+            }
+        }
+        let snap = service.drain();
+        assert_eq!(snap.sessions_evicted, 1);
+        assert_eq!(
+            snap.readings_dropped, 1,
+            "the late reading found no session"
+        );
+        let idle: Vec<Message> = results_idle.try_iter().collect();
+        assert_eq!(delivered_results(&idle), 1);
+        assert!(matches!(
+            idle.last(),
+            Some(Message::Error { session: 1, message }) if message.contains("idle timeout")
+        ));
+        let busy: Vec<Message> = results_busy.try_iter().collect();
+        assert_eq!(delivered_results(&busy), 300, "the active neighbour stays");
+        assert!(!busy.iter().any(|m| matches!(m, Message::Error { .. })));
     }
 
     #[test]

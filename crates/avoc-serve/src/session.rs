@@ -8,7 +8,7 @@ use std::collections::VecDeque;
 use std::time::Instant;
 
 use crate::metrics::ServiceCounters;
-use crate::persist::{MetaState, SessionStore, StoredResult, RESULT_RING};
+use crate::persist::{SessionStore, StoreRecipe, StoredResult, RESULT_RING};
 use crate::service::ServeError;
 use crate::sink::ResultSink;
 
@@ -56,6 +56,10 @@ pub(crate) struct Session {
     /// result path pays one frame per burst instead of one per round.
     pending: Vec<StoredResult>,
     persist: Option<SessionStore>,
+    /// Durable state that failed to create at open: the session serves
+    /// degraded (memory-only) and its heal probe retries the creation.
+    /// Boxed: every session carries the field, almost none fill it.
+    uncreated: Option<Box<StoreRecipe>>,
     checkpoint_every: u64,
     rounds_since_ckpt: u64,
     /// The session's registered per-tenant fuse-latency histogram
@@ -102,6 +106,7 @@ impl Session {
             results: VecDeque::new(),
             pending: Vec::new(),
             persist,
+            uncreated: None,
             checkpoint_every: cfg.checkpoint_every.max(1),
             rounds_since_ckpt: 0,
             fuse_hist: None,
@@ -131,15 +136,36 @@ impl Session {
         spec: &VdxSpec,
         sink: impl Into<ResultSink>,
         store: SessionStore,
-        meta: &MetaState,
+        high_round: Option<u64>,
+        results: VecDeque<StoredResult>,
     ) -> Result<Self, ServeError> {
         let mut s = Session::open(cfg, spec, sink, None)?;
         s.engine.seed_histories(&store.seed_records());
-        s.hub = s.hub.with_completed_through(meta.high_round);
-        s.high_round = meta.high_round;
-        s.results = meta.results.iter().copied().collect();
+        s.hub = s.hub.with_completed_through(high_round);
+        s.high_round = high_round;
+        s.results = results;
         s.persist = Some(store);
         Ok(s)
+    }
+
+    /// Puts a session whose durable store could not be created at open
+    /// into degraded (memory-only) mode, counted like a checkpoint failure.
+    /// The heal probe keeps retrying `recipe` until the store exists, then
+    /// checkpoints the session's full state into it.
+    pub(crate) fn degrade_uncreated(
+        &mut self,
+        recipe: StoreRecipe,
+        err: &std::io::Error,
+        counters: &ServiceCounters,
+    ) {
+        self.uncreated = Some(Box::new(recipe));
+        counters.checkpoint_failure();
+        self.enter_degraded(counters, err);
+    }
+
+    /// Whether this session keeps (or is trying to create) durable state.
+    fn durable(&self) -> bool {
+        self.persist.is_some() || self.uncreated.is_some()
     }
 
     pub(crate) fn token(&self) -> u64 {
@@ -260,8 +286,9 @@ impl Session {
         }
     }
 
-    /// Writes a checkpoint now: WAL first, then the meta file. Errors leave
-    /// the previous checkpoint in place — recovery degrades, never corrupts.
+    /// Writes a checkpoint now: one WAL frame with a `commit` stamp. Errors
+    /// leave the previous checkpoint in place — recovery degrades, never
+    /// corrupts.
     ///
     /// Failures drive a per-session degradation state machine: after
     /// [`DEGRADE_AFTER`] consecutive failures the session stops paying a
@@ -272,7 +299,7 @@ impl Session {
     /// rewrites a fresh compacted WAL and the session silently returns to
     /// durable operation.
     pub(crate) fn checkpoint(&mut self, counters: &ServiceCounters) {
-        if self.persist.is_none() {
+        if !self.durable() {
             return;
         }
         self.rounds_since_ckpt = 0;
@@ -290,22 +317,27 @@ impl Session {
                 counters.checkpoint_failure();
                 self.ckpt_failures += 1;
                 if self.ckpt_failures >= DEGRADE_AFTER {
-                    self.degraded = true;
-                    self.probe_backoff = 1;
-                    self.probe_in = 1;
-                    counters.session_degraded(self.id);
-                    eprintln!(
-                        "avoc-serve: session {} entering degraded (memory-only) \
-                         persistence after {} checkpoint failures: {e}",
-                        self.id, self.ckpt_failures
-                    );
+                    self.enter_degraded(counters, &e);
                 }
             }
         }
     }
 
-    /// One checkpoint attempt against the store (history staging + WAL +
-    /// meta), recording size/latency on success.
+    fn enter_degraded(&mut self, counters: &ServiceCounters, err: &std::io::Error) {
+        self.degraded = true;
+        self.probe_backoff = 1;
+        self.probe_in = 1;
+        counters.session_degraded(self.id);
+        eprintln!(
+            "avoc-serve: session {} entering degraded (memory-only) \
+             persistence after {} checkpoint failure(s): {err}",
+            self.id,
+            self.ckpt_failures.max(1)
+        );
+    }
+
+    /// One checkpoint attempt against the store (history staging + one WAL
+    /// frame), recording size/latency on success.
     fn try_checkpoint(&mut self, counters: &ServiceCounters) -> std::io::Result<()> {
         let store = self.persist.as_mut().expect("caller checked persist");
         let started = Instant::now();
@@ -317,12 +349,17 @@ impl Session {
     }
 
     /// A degraded session's heal probe: rewrite the WAL from live state
-    /// (`SessionStore::heal`), then take a full checkpoint. Success exits
-    /// degraded mode; failure doubles the backoff (capped).
+    /// (`SessionStore::heal`) — or, when the store never got created, create
+    /// it — then take a full checkpoint. Success exits degraded mode;
+    /// failure doubles the backoff (capped).
     fn probe_heal(&mut self, counters: &ServiceCounters) {
-        let healed = {
-            let store = self.persist.as_mut().expect("caller checked persist");
-            store.heal()
+        let healed = match (self.persist.as_mut(), &self.uncreated) {
+            (Some(store), _) => store.heal(),
+            (None, Some(recipe)) => recipe.create().map(|store| {
+                self.persist = Some(store);
+                self.uncreated = None;
+            }),
+            (None, None) => unreachable!("caller checked durable()"),
         };
         let outcome = healed.and_then(|()| self.try_checkpoint(counters));
         match outcome {
@@ -514,7 +551,7 @@ impl Session {
                 // `results_dropped`.
                 self.pending.push((round.round, value, voted));
                 self.rounds_since_ckpt += 1;
-                if self.persist.is_some() && self.rounds_since_ckpt >= self.checkpoint_every {
+                if self.durable() && self.rounds_since_ckpt >= self.checkpoint_every {
                     self.checkpoint(counters);
                 }
             }

@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 use avoc_store::TieredStore;
 
 use crate::metrics::ServiceCounters;
-use crate::persist::{Persistence, SessionStore};
+use crate::persist::{Loaded, MetaState, Persistence, SessionStore, StoreRecipe};
 use crate::session::{Session, SessionConfig};
 use crate::sink::ResultSink;
 
@@ -156,10 +156,7 @@ pub(crate) enum ShardCommand {
         /// The session to install (spec already resolved; `req.sink` gets
         /// the `Resumed`/`Error` answer).
         req: OpenReq,
-        /// The shipped meta's high round — the replay floor for the eager
-        /// resume (the importing daemon has nothing to re-emit).
-        high_round: Option<u64>,
-        /// The meta sidecar, already re-stamped with this node's id.
+        /// The identity sidecar, already re-stamped with this node's id.
         rendered: Vec<u8>,
         /// The shipped WAL bytes.
         wal: Vec<u8>,
@@ -219,6 +216,11 @@ const DATA_BURST: usize = 64;
 struct ShardState {
     sessions: HashMap<u64, Session>,
     tick: u64,
+    /// No session can be idle before the tick passes this: the earliest
+    /// `last_active_tick + idle_ticks` at the previous sweep. Activity only
+    /// raises a session's deadline and a new session's starts past it, so
+    /// sweeps before then are provably empty and are skipped.
+    idle_due: u64,
     deferred: VecDeque<ShardCommand>,
     /// Sessions that fused results this wakeup; their pending verdicts are
     /// flushed (batched into one frame each) once per loop iteration.
@@ -238,6 +240,7 @@ impl ShardWorker {
         let mut st = ShardState {
             sessions: HashMap::new(),
             tick: 0,
+            idle_due: self.idle_ticks,
             deferred: VecDeque::new(),
             touched: Vec::new(),
             stop: false,
@@ -355,12 +358,7 @@ impl ShardWorker {
                 self.drain_data_backlog(st);
                 self.export(st, session, target_node, epoch, &target_addr, &sink);
             }
-            ShardCommand::Import {
-                req,
-                high_round,
-                rendered,
-                wal,
-            } => self.import(st, req, high_round, &rendered, &wal),
+            ShardCommand::Import { req, rendered, wal } => self.import(st, req, &rendered, &wal),
             ShardCommand::Drain => {
                 self.drain_data_backlog(st);
                 st.stop = true;
@@ -472,12 +470,14 @@ impl ShardWorker {
                 session,
                 self.persistence.durability(),
                 self.tiered.as_ref(),
-                self.persistence.node_id,
             );
-            if let Some((mut store, meta, _info)) = loaded {
-                if meta.owned_by(self.persistence.node_id) {
-                    let ring: VecDeque<_> = meta.results.iter().copied().collect();
-                    match store.export_blobs(target_node, meta.high_round, &ring) {
+            if let Some(mut loaded) = loaded {
+                if loaded.meta.owned_by(self.persistence.node_id) {
+                    let shipped =
+                        loaded
+                            .store
+                            .export_blobs(target_node, loaded.high_round, &loaded.results);
+                    match shipped {
                         Ok((meta, wal)) => {
                             let reply = Message::SessionState {
                                 session,
@@ -520,14 +520,7 @@ impl ShardWorker {
     /// touching the durable files the live session holds open. Only when
     /// the session is not resident are the blobs written and the session
     /// eagerly resumed from them.
-    fn import(
-        &self,
-        st: &mut ShardState,
-        req: OpenReq,
-        high_round: Option<u64>,
-        rendered: &[u8],
-        wal: &[u8],
-    ) {
+    fn import(&self, st: &mut ShardState, req: OpenReq, rendered: &[u8], wal: &[u8]) {
         if let Some(s) = st.sessions.get(&req.session) {
             if s.resumable() && s.token() == req.token {
                 // Re-drive of a migration that already landed: confirm on
@@ -569,7 +562,7 @@ impl ShardWorker {
             return;
         }
         self.counters.session_imported();
-        self.resume(st, req, high_round, true);
+        self.resume(st, req, None, true);
     }
 
     /// Processes the readings already queued when a `Close`/`Drain`
@@ -702,7 +695,7 @@ impl ShardWorker {
             // per-reading errors would amplify a flood.
             self.counters.reading_dropped();
         }
-        if st.tick.is_multiple_of(SWEEP_INTERVAL) {
+        if st.tick.is_multiple_of(SWEEP_INTERVAL) && st.tick > st.idle_due {
             self.sweep(st);
         }
     }
@@ -728,7 +721,18 @@ impl ShardWorker {
             resumable: req.resumable,
             checkpoint_every: self.persistence.checkpoint_every,
         };
-        let store = self.make_store(&req);
+        // Creating the store lays down the session's WAL and identity
+        // sidecar: a crash before the first fused round still recovers it.
+        let mut uncreated = None;
+        let store = self
+            .store_recipe(&req)
+            .and_then(|recipe| match recipe.create() {
+                Ok(store) => Some(store),
+                Err(e) => {
+                    uncreated = Some((recipe, e));
+                    None
+                }
+            });
         match Session::open(&cfg, &req.spec, req.sink.clone(), store) {
             Ok(mut s) => {
                 s.set_fuse_histogram(self.counters.register_session(
@@ -736,9 +740,9 @@ impl ShardWorker {
                     self.index,
                     req.resumable,
                 ));
-                // A durable session's first checkpoint is its registration:
-                // a crash before the first fused round still recovers it.
-                s.checkpoint(&self.counters);
+                if let Some((recipe, e)) = uncreated {
+                    s.degrade_uncreated(recipe, &e, &self.counters);
+                }
                 if announce {
                     s.announce_resumed(false, &self.counters);
                 }
@@ -756,7 +760,10 @@ impl ShardWorker {
     }
 
     /// The resume path: live re-attach, checkpoint restore, or fresh
-    /// fallback — in that order.
+    /// fallback — in that order. An `eager` (daemon-internal) restore
+    /// re-emits nothing: its replay floor is the checkpoint's own high
+    /// round, and the client's eventual resume replays against its real
+    /// ack floor.
     fn resume(&self, st: &mut ShardState, req: OpenReq, last_acked: Option<u64>, eager: bool) {
         if !eager {
             self.counters.retry();
@@ -764,7 +771,8 @@ impl ShardWorker {
         // 1. Live session: re-attach if the token proves ownership.
         if let Some(s) = st.sessions.get_mut(&req.session) {
             if s.resumable() && s.token() == req.token {
-                s.reattach(req.sink, last_acked, st.tick, &self.counters);
+                let floor = if eager { s.high_round() } else { last_acked };
+                s.reattach(req.sink, floor, st.tick, &self.counters);
                 self.counters.session_resumed();
             } else {
                 self.refuse(&req.sink, req.session, "resume token mismatch");
@@ -779,9 +787,15 @@ impl ShardWorker {
                 req.session,
                 self.persistence.durability(),
                 self.tiered.as_ref(),
-                self.persistence.node_id,
             );
-            if let Some((store, meta, info)) = loaded {
+            if let Some(Loaded {
+                store,
+                meta,
+                high_round,
+                results,
+                info,
+            }) = loaded
+            {
                 if !meta.owned_by(self.persistence.node_id) {
                     // The sidecar names another node: this session migrated
                     // away. Refuse rather than resurrect a second copy —
@@ -824,7 +838,15 @@ impl ShardWorker {
                         resumable: meta.resumable,
                         checkpoint_every: self.persistence.checkpoint_every,
                     };
-                    match Session::restore(&cfg, &req.spec, req.sink.clone(), store, &meta) {
+                    let restored = Session::restore(
+                        &cfg,
+                        &req.spec,
+                        req.sink.clone(),
+                        store,
+                        high_round,
+                        results,
+                    );
+                    match restored {
                         Ok(mut s) => {
                             s.set_fuse_histogram(self.counters.register_session(
                                 req.session,
@@ -832,7 +854,8 @@ impl ShardWorker {
                                 meta.resumable,
                             ));
                             s.announce_resumed(true, &self.counters);
-                            s.replay_results(last_acked, &self.counters);
+                            let floor = if eager { high_round } else { last_acked };
+                            s.replay_results(floor, &self.counters);
                             st.sessions.insert(req.session, s);
                             self.counters.recovery();
                             if !eager {
@@ -861,23 +884,23 @@ impl ShardWorker {
         );
     }
 
-    /// Creates the session's durable store, or `None` when persistence is
-    /// off — or when creation fails, in which case the session degrades to
-    /// memory-only rather than being refused.
-    fn make_store(&self, req: &OpenReq) -> Option<SessionStore> {
-        let dir = self.persistence.state_dir.as_deref()?;
-        SessionStore::create(
-            dir,
-            req.session,
-            req.token,
-            req.modules,
-            req.resumable,
-            req.spec_source.clone(),
-            self.persistence.durability(),
-            self.tiered.as_ref(),
-            self.persistence.node_id,
-        )
-        .ok()
+    /// What creating the session's durable store takes, or `None` when
+    /// persistence is off. A failed creation degrades the session to
+    /// memory-only (counted) rather than refusing it.
+    fn store_recipe(&self, req: &OpenReq) -> Option<StoreRecipe> {
+        Some(StoreRecipe {
+            dir: self.persistence.state_dir.clone()?,
+            session: req.session,
+            meta: MetaState {
+                token: req.token,
+                modules: req.modules,
+                resumable: req.resumable,
+                spec: req.spec_source.clone(),
+                node: self.persistence.node_id,
+            },
+            durability: self.persistence.durability(),
+            tiered: self.tiered.clone(),
+        })
     }
 
     /// Claims a global session slot, evicting this shard's idlest session
@@ -967,5 +990,13 @@ impl ShardWorker {
             self.active.fetch_sub(1, Ordering::Relaxed);
             self.counters.session_evicted();
         }
+        // A session opened later starts at a tick past this one, so its
+        // deadline is past `tick + idle_ticks` too.
+        st.idle_due = st
+            .sessions
+            .values()
+            .map(|s| s.last_active_tick)
+            .fold(st.tick, u64::min)
+            .saturating_add(self.idle_ticks);
     }
 }

@@ -91,6 +91,21 @@ impl<S: HistoryStore> CachedHistory<S> {
         }
     }
 
+    /// Hands the pending record writes to the caller instead of the backing
+    /// store, for a caller that logs them together with other entries — a
+    /// session checkpoint writes records, verdicts and its `commit` stamp
+    /// as one WAL frame ([`crate::FileHistory::append_checkpoint`]). A
+    /// pending clear still goes to the backing store first.
+    pub fn take_pending(&mut self) -> Vec<(ModuleId, f64)> {
+        if self.cleared {
+            if let Some(backing) = self.backing.as_mut() {
+                backing.clear();
+            }
+            self.cleared = false;
+        }
+        std::mem::take(&mut self.dirty).into_iter().collect()
+    }
+
     /// Abandons pending writes (and a pending clear) without touching the
     /// backing store: the cache and backing intentionally diverge. This is
     /// the crash-simulation path — a service hard-killing its sessions must
@@ -303,6 +318,17 @@ mod tests {
         let backing = cached.into_inner();
         assert_eq!(backing.get(m(0)), Some(0.5));
         assert_eq!(backing.get(m(7)), None);
+    }
+
+    #[test]
+    fn take_pending_hands_over_dirty_records_without_writing_them() {
+        let mut cached = CachedHistory::new(CountingStore::default());
+        cached.set(m(1), 0.5);
+        cached.set(m(0), 0.25);
+        assert_eq!(cached.take_pending(), vec![(m(0), 0.25), (m(1), 0.5)]);
+        assert_eq!(cached.pending_writes(), 0);
+        assert_eq!(cached.backing().batch_calls, 0);
+        assert_eq!(cached.get(m(1)), Some(0.5), "the cache keeps serving");
     }
 
     #[test]

@@ -1,7 +1,7 @@
-//! Bounds-checked binary primitives shared by the segment format: LEB128
-//! varints, zigzag, a hand-rolled CRC-32 (IEEE), XOR-prev float packing, and
-//! a cursor reader whose every method fails clean on truncated or lying
-//! input — decode errors are values, never panics.
+//! Bounds-checked binary primitives shared by the segment format and the
+//! WAL: LEB128 varints, zigzag deltas, a hand-rolled CRC-32 (IEEE), XOR-prev
+//! float packing, and a cursor reader whose every method fails clean on
+//! truncated or lying input — decode errors are values, never panics.
 
 use std::io;
 
@@ -29,6 +29,23 @@ pub fn zigzag(v: i64) -> u64 {
 /// Inverse of [`zigzag`].
 pub fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
+}
+
+/// Appends `v` as a zigzag varint delta from `*prev`, then makes it the new
+/// `*prev`. Deltas wrap, so every `u64` sequence round-trips exactly;
+/// ascending rounds cost one byte each.
+pub fn put_delta(out: &mut Vec<u8>, v: u64, prev: &mut u64) {
+    put_varint(out, zigzag(v.wrapping_sub(*prev) as i64));
+    *prev = v;
+}
+
+/// Appends `value`'s bit pattern XOR `*prev` as a varint, then makes it the
+/// new `*prev`: a repeated value costs one byte, and a nearby one (same
+/// sign, exponent and leading mantissa bits) fewer than eight.
+pub fn put_xor_f64(out: &mut Vec<u8>, value: f64, prev: &mut u64) {
+    let bits = value.to_bits();
+    put_varint(out, bits ^ *prev);
+    *prev = bits;
 }
 
 /// CRC-32 (IEEE 802.3, reflected) lookup table, built at compile time.
@@ -167,6 +184,19 @@ impl<'a> Reader<'a> {
         }
     }
 
+    /// Reads a [`put_delta`] value relative to `*prev` and advances `*prev`.
+    pub fn delta(&mut self, prev: &mut u64) -> Result<u64, DecodeError> {
+        *prev = prev.wrapping_add(unzigzag(self.varint()?) as u64);
+        Ok(*prev)
+    }
+
+    /// Reads a [`put_xor_f64`] value relative to `*prev` and advances
+    /// `*prev`.
+    pub fn xor_f64(&mut self, prev: &mut u64) -> Result<f64, DecodeError> {
+        *prev ^= self.varint()?;
+        Ok(f64::from_bits(*prev))
+    }
+
     /// Reads a varint and checks it fits `usize` and is at most `cap` —
     /// the guard against lying element counts driving huge allocations.
     pub fn count(&mut self, cap: usize) -> Result<usize, DecodeError> {
@@ -238,6 +268,37 @@ mod tests {
         // Small magnitudes stay small.
         assert_eq!(zigzag(-1), 1);
         assert_eq!(zigzag(1), 2);
+    }
+
+    #[test]
+    fn deltas_and_xor_floats_round_trip() {
+        let rounds = [0u64, 1, 2, 1, u64::MAX, 0, 7];
+        let values = [0.75f64, 0.75, 0.7500001, -1.0, f64::NAN, 0.0];
+        let mut buf = Vec::new();
+        let mut prev = 0;
+        for &v in &rounds {
+            put_delta(&mut buf, v, &mut prev);
+        }
+        let mut prev = 0;
+        for &v in &values {
+            put_xor_f64(&mut buf, v, &mut prev);
+        }
+        let mut r = Reader::new(&buf);
+        let mut prev = 0;
+        for &v in &rounds {
+            assert_eq!(r.delta(&mut prev).unwrap(), v);
+        }
+        let mut prev = 0;
+        for &v in &values {
+            assert_eq!(r.xor_f64(&mut prev).unwrap().to_bits(), v.to_bits());
+        }
+        assert_eq!(r.remaining(), 0);
+        // A repeated value is one byte; an ascending round too.
+        let (mut one, mut prev) = (Vec::new(), 0.5f64.to_bits());
+        put_xor_f64(&mut one, 0.5, &mut prev);
+        let mut prev = 9;
+        put_delta(&mut one, 10, &mut prev);
+        assert_eq!(one.len(), 2);
     }
 
     #[test]

@@ -1,11 +1,29 @@
-//! Durable history records backed by a JSON-lines write-ahead log.
+//! Durable history records backed by a binary write-ahead log.
+//!
+//! ```text
+//! log     := "AVWAL2\n\0" frame*
+//! frame   := payload_len (varint) │ crc32(payload) (u32 LE) │ payload
+//! payload := entry+
+//! entry   := SET             │ module (varint) │ trust (XOR-prev f64)
+//!          | CLEAR
+//!          | COMMIT          │ round (zigzag delta)
+//!          | VERDICT + flags │ round (zigzag delta) │ [value (XOR-prev f64)]
+//! ```
+//!
+//! Every append is exactly one frame, built from the [`crate::codec`]
+//! primitives the segment format shares; the delta and XOR cursors restart
+//! at zero in each frame, so frames decode independently. A crash mid-append
+//! leaves a *short* final frame, and replay stops there — the torn tail is
+//! truncated away and everything before it is applied. A frame that fails
+//! its CRC with more bytes after it is damage rather than a torn append and
+//! fails the open.
 
+use crate::codec::{crc32, put_delta, put_u32_le, put_varint, put_xor_f64, DecodeError, Reader};
 use avoc_core::history::{HistoryStore, INITIAL_HISTORY};
 use avoc_core::ModuleId;
-use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::fs::{File, OpenOptions};
-use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
+use std::io;
 use std::path::{Path, PathBuf};
 use sysio::fault::Site;
 use sysio::fio;
@@ -24,10 +42,25 @@ pub enum Durability {
     Fsync,
 }
 
-/// One logged operation (WAL format v2 — v1 logs contain only `set`/`clear`
-/// and replay unchanged).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[serde(tag = "op", rename_all = "snake_case")]
+/// Leading file magic (8 bytes): a log without it is not ours and fails
+/// the open instead of being "repaired" into an empty one.
+const WAL_MAGIC: &[u8; 8] = b"AVWAL2\n\0";
+
+/// Entry tags. A verdict's tag also carries its `VOTED`/`HAS_VALUE` flags.
+const SET: u8 = 1;
+const CLEAR: u8 = 2;
+const COMMIT: u8 = 3;
+const VERDICT: u8 = 4;
+const VOTED: u8 = 0x10;
+const HAS_VALUE: u8 = 0x20;
+
+/// How many of the last verdict rows replayed at open a [`FileHistory`]
+/// hands over ([`FileHistory::take_replayed_verdicts`]) — a resuming
+/// session's re-emittable result ring.
+pub const VERDICT_TAIL: usize = 256;
+
+/// One logged operation.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum WalEntry {
     /// Record write.
     Set {
@@ -45,16 +78,9 @@ pub(crate) enum WalEntry {
         /// The fused round the preceding entries belong to.
         round: u64,
     },
-    /// A fused verdict at `round` — the output stream row, logged so
-    /// time-travel reads can replay verdicts as well as trust state.
-    Verdict {
-        /// Fused round index.
-        round: u64,
-        /// Fused value (`None` when the round produced no quorum).
-        value: Option<f64>,
-        /// Whether a quorum voted.
-        voted: bool,
-    },
+    /// A fused verdict — the output stream row, logged so time-travel reads
+    /// and resumes can replay verdicts as well as trust state.
+    Verdict(VerdictRecord),
 }
 
 /// A fused verdict row as stamped into the WAL and folded into segments.
@@ -68,83 +94,193 @@ pub struct VerdictRecord {
     pub voted: bool,
 }
 
-/// Result of a checked WAL scan: every well-formed entry in file order plus
-/// what the tail looked like. This is the one decoder shared by replay,
-/// torn-tail repair and the segment compactor — the same bytes can never
-/// parse two ways.
+/// Appends `entries` to `payload` as one frame's body.
+fn encode_payload(payload: &mut Vec<u8>, entries: impl Iterator<Item = WalEntry>) {
+    let (mut round, mut bits) = (0u64, 0u64);
+    for entry in entries {
+        match entry {
+            WalEntry::Set { module, value } => {
+                payload.push(SET);
+                put_varint(payload, u64::from(module));
+                put_xor_f64(payload, value, &mut bits);
+            }
+            WalEntry::Clear => payload.push(CLEAR),
+            WalEntry::Commit { round: r } => {
+                payload.push(COMMIT);
+                put_delta(payload, r, &mut round);
+            }
+            WalEntry::Verdict(v) => {
+                let mut tag = VERDICT;
+                if v.voted {
+                    tag |= VOTED;
+                }
+                if v.value.is_some() {
+                    tag |= HAS_VALUE;
+                }
+                payload.push(tag);
+                put_delta(payload, v.round, &mut round);
+                if let Some(value) = v.value {
+                    put_xor_f64(payload, value, &mut bits);
+                }
+            }
+        }
+    }
+}
+
+/// Appends `payload` framed: its length, its CRC-32, then the bytes.
+fn put_frame(out: &mut Vec<u8>, payload: &[u8]) {
+    put_varint(out, payload.len() as u64);
+    put_u32_le(out, crc32(payload));
+    out.extend_from_slice(payload);
+}
+
+/// Decodes one frame's body into `out`. Any malformed byte fails the whole
+/// frame — the caller applies nothing from it.
+fn decode_payload(payload: &[u8], out: &mut Vec<WalEntry>) -> Result<(), DecodeError> {
+    let mut r = Reader::new(payload);
+    let (mut round, mut bits) = (0u64, 0u64);
+    while r.remaining() > 0 {
+        let at = r.pos();
+        let tag = r.u8()?;
+        let entry = match tag {
+            SET => {
+                let module = u32::try_from(r.varint()?).map_err(|_| DecodeError {
+                    at,
+                    reason: "module index overflows u32",
+                })?;
+                let value = r.xor_f64(&mut bits)?;
+                WalEntry::Set { module, value }
+            }
+            CLEAR => WalEntry::Clear,
+            COMMIT => WalEntry::Commit {
+                round: r.delta(&mut round)?,
+            },
+            t if t & !(VOTED | HAS_VALUE) == VERDICT => {
+                let round = r.delta(&mut round)?;
+                let value = if t & HAS_VALUE != 0 {
+                    Some(r.xor_f64(&mut bits)?)
+                } else {
+                    None
+                };
+                WalEntry::Verdict(VerdictRecord {
+                    round,
+                    value,
+                    voted: t & VOTED != 0,
+                })
+            }
+            _ => {
+                return Err(DecodeError {
+                    at,
+                    reason: "unknown WAL entry tag",
+                })
+            }
+        };
+        out.push(entry);
+    }
+    Ok(())
+}
+
+/// Where replaying a log image stopped.
+#[derive(Debug, Clone, Copy)]
+struct ReplayEnd {
+    /// Bytes of the magic plus every intact frame — the truncation point
+    /// when the tail is torn (0 when not even the magic is whole).
+    good_bytes: u64,
+    /// A short (or final, corrupt) frame ended the log.
+    torn_tail: bool,
+}
+
+/// Decodes every intact frame of a WAL image in order, handing each entry
+/// to `visit`. This is the one decoder shared by replay, torn-tail repair
+/// and the segment compactor — the same bytes can never parse two ways.
+///
+/// # Errors
+///
+/// [`io::ErrorKind::InvalidData`] when the image does not start with the
+/// WAL magic, or a frame fails its CRC or decode with bytes after it.
+fn replay(bytes: &[u8], mut visit: impl FnMut(WalEntry)) -> io::Result<ReplayEnd> {
+    let invalid = |what: String| io::Error::new(io::ErrorKind::InvalidData, what);
+    if !bytes.starts_with(WAL_MAGIC) {
+        // A crash while the magic itself was being written leaves a prefix.
+        if WAL_MAGIC.starts_with(bytes) {
+            return Ok(ReplayEnd {
+                good_bytes: 0,
+                torn_tail: !bytes.is_empty(),
+            });
+        }
+        return Err(invalid("not an AVOC history log (bad magic)".into()));
+    }
+    let mut pos = WAL_MAGIC.len();
+    let mut entries = Vec::new();
+    while pos < bytes.len() {
+        let mut r = Reader::new(&bytes[pos..]);
+        let frame = (|| {
+            let len = r.count(usize::MAX)?;
+            let crc = r.u32_le()?;
+            Ok::<_, DecodeError>((crc, r.bytes(len)?))
+        })();
+        let torn = ReplayEnd {
+            good_bytes: pos as u64,
+            torn_tail: true,
+        };
+        // A frame header or body running past the end is a torn append.
+        let Ok((crc, payload)) = frame else {
+            return Ok(torn);
+        };
+        let end = pos + r.pos();
+        entries.clear();
+        if crc32(payload) != crc || decode_payload(payload, &mut entries).is_err() {
+            if end < bytes.len() {
+                return Err(invalid(format!("corrupt history log frame at byte {pos}")));
+            }
+            return Ok(torn);
+        }
+        for &entry in &entries {
+            visit(entry);
+        }
+        pos = end;
+    }
+    Ok(ReplayEnd {
+        good_bytes: pos as u64,
+        torn_tail: false,
+    })
+}
+
+/// Result of a checked WAL scan: every entry of every intact frame in file
+/// order, plus whether a torn tail ended it.
 #[derive(Debug)]
 pub(crate) struct WalScan {
-    /// Entries decoded from fully intact lines, in file order.
+    /// Entries decoded from intact frames, in file order.
     pub(crate) entries: Vec<WalEntry>,
-    /// Bytes of fully replayed lines — the truncation point when the line
-    /// after them is torn.
-    pub(crate) good_bytes: u64,
-    /// A torn (unparseable, nothing after it) final line was found.
+    /// A torn final frame was found (and skipped).
     pub(crate) torn_tail: bool,
-    /// The final line parsed but lacks its trailing newline.
-    pub(crate) missing_final_newline: bool,
 }
 
 /// Scans a WAL file without modifying it. Missing file ⇒ `Ok(None)`.
 ///
-/// A torn final line is tolerated and reported; a malformed line with valid
-/// entries after it is genuine corruption and fails with
+/// # Errors
+///
+/// As the open: a log that is not ours, or damaged before its tail, is
 /// [`io::ErrorKind::InvalidData`].
 pub(crate) fn scan_wal(path: &Path) -> io::Result<Option<WalScan>> {
-    let f = match File::open(path) {
-        Ok(f) => f,
+    let bytes = match std::fs::read(path) {
+        Ok(bytes) => bytes,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(e),
     };
-    let mut reader = BufReader::new(f);
-    let mut line = String::new();
-    let mut scan = WalScan {
-        entries: Vec::new(),
-        good_bytes: 0,
-        torn_tail: false,
-        missing_final_newline: false,
-    };
-    loop {
-        line.clear();
-        let n = reader.read_line(&mut line)?;
-        if n == 0 {
-            break;
-        }
-        if line.trim().is_empty() {
-            scan.good_bytes += n as u64;
-            continue;
-        }
-        match serde_json::from_str::<WalEntry>(line.trim()) {
-            Ok(entry) => {
-                scan.good_bytes += n as u64;
-                scan.missing_final_newline = !line.ends_with('\n');
-                scan.entries.push(entry);
-            }
-            Err(e) => {
-                // Torn tail or mid-file corruption? A crash mid-append
-                // cannot be followed by more data, so any payload after the
-                // bad line means the log was damaged, not torn.
-                let mut rest = Vec::new();
-                reader.read_to_end(&mut rest)?;
-                if rest.iter().any(|b| !b.is_ascii_whitespace()) {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("corrupt history log line: {e}"),
-                    ));
-                }
-                scan.torn_tail = true;
-                break;
-            }
-        }
-    }
-    Ok(Some(scan))
+    let mut entries = Vec::new();
+    let end = replay(&bytes, |e| entries.push(e))?;
+    Ok(Some(WalScan {
+        entries,
+        torn_tail: end.torn_tail,
+    }))
 }
 
-/// A durable [`HistoryStore`] backed by a JSON-lines write-ahead log.
+/// A durable [`HistoryStore`] backed by a binary write-ahead log.
 ///
-/// Every [`HistoryStore::set`] appends a log line and flushes; reopening the
+/// Every [`HistoryStore::set`] appends one frame and flushes; reopening the
 /// file replays the log. [`FileHistory::compact`] rewrites the log to one
-/// line per live record. This deliberately mirrors the paper's
+/// frame holding each live record. This deliberately mirrors the paper's
 /// "datastore reads and writes being the bottleneck" observation: the
 /// per-write flush is what a benchmark run measures against the in-memory
 /// store.
@@ -156,22 +292,22 @@ pub(crate) fn scan_wal(path: &Path) -> io::Result<Option<WalScan>> {
 /// use avoc_core::ModuleId;
 /// use avoc_store::FileHistory;
 ///
-/// let mut store = FileHistory::open("/tmp/avoc-history.jsonl")?;
+/// let mut store = FileHistory::open("/tmp/avoc-history.wal")?;
 /// store.set(ModuleId::new(0), 0.8);
 /// drop(store);
-/// let reopened = FileHistory::open("/tmp/avoc-history.jsonl")?;
+/// let reopened = FileHistory::open("/tmp/avoc-history.wal")?;
 /// assert_eq!(reopened.get(ModuleId::new(0)), Some(0.8));
 /// # Ok::<(), std::io::Error>(())
 /// ```
 #[derive(Debug)]
 pub struct FileHistory {
     path: PathBuf,
-    writer: BufWriter<File>,
+    file: File,
     records: BTreeMap<ModuleId, f64>,
-    /// Log lines since the last compaction.
+    /// Log entries since the last compaction.
     dirty_entries: usize,
     durability: Durability,
-    /// Whether `open` found (and truncated away) a torn final line.
+    /// Whether `open` found (and truncated away) a torn final frame.
     recovered_torn_tail: bool,
     /// Bytes appended to the log by this handle (compactions excluded) —
     /// a checkpoint-cost signal for the service layer.
@@ -184,27 +320,34 @@ pub struct FileHistory {
     max_commit_round: Option<u64>,
     /// Highest `verdict` round seen or appended.
     max_verdict_round: Option<u64>,
+    /// The last [`VERDICT_TAIL`] verdict rows replayed at open, oldest
+    /// first, until taken.
+    replayed_verdicts: VecDeque<VerdictRecord>,
     /// An append/flush/fsync since open (or the last successful
     /// [`FileHistory::compact`]) failed: the on-disk log may be missing
     /// entries, so checkpoints built on it must not be trusted until a
     /// rewrite succeeds. In-memory records stay correct throughout.
     write_failed: bool,
+    /// Reused frame buffers: an append allocates nothing once warm.
+    payload: Vec<u8>,
+    frame: Vec<u8>,
 }
 
 impl FileHistory {
     /// Opens (or creates) a log file and replays it, with
     /// [`Durability::Flush`] semantics.
     ///
-    /// A *torn final line* — exactly what a crash mid-append leaves behind —
-    /// is tolerated: the tail is truncated away and replay keeps everything
-    /// before it (the state minus at most the last entry). A malformed line
-    /// with valid entries *after* it is genuine corruption, not a torn
-    /// append, and still fails hard.
+    /// A *torn final frame* — exactly what a crash mid-append leaves behind
+    /// — is tolerated: the tail is truncated away and replay keeps every
+    /// frame before it (the state minus at most the last append). A corrupt
+    /// frame with bytes *after* it is damage, not a torn append, and still
+    /// fails hard.
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors; a malformed log line anywhere but the tail
-    /// yields [`io::ErrorKind::InvalidData`].
+    /// Propagates I/O errors; a file that is not a history log, or a
+    /// corrupt frame anywhere but the tail, yields
+    /// [`io::ErrorKind::InvalidData`].
     pub fn open(path: impl AsRef<Path>) -> io::Result<Self> {
         Self::open_with(path, Durability::Flush)
     }
@@ -216,67 +359,68 @@ impl FileHistory {
     /// As [`FileHistory::open`].
     pub fn open_with(path: impl AsRef<Path>, durability: Durability) -> io::Result<Self> {
         let path = path.as_ref().to_path_buf();
-        let mut records = BTreeMap::new();
-        let mut dirty_entries = 0;
-        let mut recovered_torn_tail = false;
-        // A crash can also land between an entry's bytes and its trailing
-        // newline: the last line then parses fine but lacks `\n`. The entry
-        // is good, but appending behind it would glue the next entry onto
-        // the same line — silent corruption discovered only at the open
-        // after next. Repair it by appending the missing newline below.
-        let mut missing_final_newline = false;
-        let mut saw_clear = false;
-        let mut max_commit_round = None;
-        let mut max_verdict_round = None;
-        if let Some(scan) = scan_wal(&path)? {
-            if scan.torn_tail {
-                OpenOptions::new()
-                    .write(true)
-                    .open(&path)?
-                    .set_len(scan.good_bytes)?;
-                recovered_torn_tail = true;
-            }
-            missing_final_newline = scan.missing_final_newline;
-            dirty_entries = scan.entries.len();
-            for entry in scan.entries {
-                match entry {
-                    WalEntry::Set { module, value } => {
-                        records.insert(ModuleId::new(module), value);
-                    }
-                    WalEntry::Clear => {
-                        records.clear();
-                        saw_clear = true;
-                    }
-                    WalEntry::Commit { round } => {
-                        max_commit_round = max_commit_round.max(Some(round));
-                    }
-                    WalEntry::Verdict { round, .. } => {
-                        max_verdict_round = max_verdict_round.max(Some(round));
-                    }
-                }
-            }
-        }
-        let mut writer = BufWriter::new(OpenOptions::new().create(true).append(true).open(&path)?);
-        if missing_final_newline {
-            // Terminate the crash-severed final line so future appends start
-            // on their own line. Repair, not logging: excluded from
-            // `bytes_logged` and from the torn-tail flag (nothing was lost).
-            writer.write_all(b"\n")?;
-            writer.flush()?;
-        }
-        Ok(FileHistory {
+        let bytes = match std::fs::read(&path) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
+            Err(e) => return Err(e),
+        };
+        let mut store = FileHistory {
+            file: OpenOptions::new().create(true).append(true).open(&path)?,
             path,
-            writer,
-            records,
-            dirty_entries,
+            records: BTreeMap::new(),
+            dirty_entries: 0,
             durability,
-            recovered_torn_tail,
+            recovered_torn_tail: false,
             bytes_logged: 0,
-            saw_clear,
-            max_commit_round,
-            max_verdict_round,
+            saw_clear: false,
+            max_commit_round: None,
+            max_verdict_round: None,
+            replayed_verdicts: VecDeque::new(),
             write_failed: false,
-        })
+            payload: Vec::new(),
+            frame: Vec::new(),
+        };
+        let mut tail = VecDeque::new();
+        let end = replay(&bytes, |entry| {
+            if let WalEntry::Verdict(v) = entry {
+                if tail.len() == VERDICT_TAIL {
+                    tail.pop_front();
+                }
+                tail.push_back(v);
+            }
+            store.apply(entry);
+        })?;
+        store.replayed_verdicts = tail;
+        if end.torn_tail {
+            store.file.set_len(end.good_bytes)?;
+            store.recovered_torn_tail = true;
+        }
+        if end.good_bytes == 0 {
+            // New (or torn-at-birth) log: lay down the magic. Not logging:
+            // excluded from `bytes_logged`.
+            fio::write_all(Site::WalAppend, &mut store.file, WAL_MAGIC)?;
+        }
+        Ok(store)
+    }
+
+    /// Applies one replayed or appended entry to the in-memory view.
+    fn apply(&mut self, entry: WalEntry) {
+        self.dirty_entries += 1;
+        match entry {
+            WalEntry::Set { module, value } => {
+                self.records.insert(ModuleId::new(module), value);
+            }
+            WalEntry::Clear => {
+                self.records.clear();
+                self.saw_clear = true;
+            }
+            WalEntry::Commit { round } => {
+                self.max_commit_round = self.max_commit_round.max(Some(round));
+            }
+            WalEntry::Verdict(v) => {
+                self.max_verdict_round = self.max_verdict_round.max(Some(v.round));
+            }
+        }
     }
 
     /// Whether any append since open (or the last successful
@@ -288,27 +432,38 @@ impl FileHistory {
         self.write_failed
     }
 
-    /// One WAL transaction — buffered write, flush, and (under
-    /// [`Durability::Fsync`]) fsync — each leg through the injectable
-    /// `sysio` facade, which retries real and injected `EINTR` and resumes
-    /// short writes. Terminal failures mark the handle sick.
-    fn log_write(&mut self, batch: &[u8]) -> io::Result<()> {
+    /// Applies `entries` in memory and appends them as one frame — one
+    /// write, one flush and (under [`Durability::Fsync`]) one fsync, each
+    /// through the injectable `sysio` facade, which retries real and
+    /// injected `EINTR` and resumes short writes. A terminal failure marks
+    /// the handle sick; memory keeps the entries either way.
+    fn append_frame(&mut self, entries: impl Iterator<Item = WalEntry> + Clone) {
+        self.payload.clear();
+        encode_payload(&mut self.payload, entries.clone());
+        if self.payload.is_empty() {
+            return;
+        }
+        for entry in entries {
+            self.apply(entry);
+        }
+        self.frame.clear();
+        put_frame(&mut self.frame, &self.payload);
         let result = (|| {
-            fio::write_all(Site::WalAppend, &mut self.writer, batch)?;
-            fio::flush(Site::WalFlush, &mut self.writer)?;
+            fio::write_all(Site::WalAppend, &mut self.file, &self.frame)?;
+            fio::flush(Site::WalFlush, &mut self.file)?;
             if self.durability == Durability::Fsync {
                 fio::check_op(Site::WalSync)?;
-                self.writer.get_ref().sync_data()?;
+                self.file.sync_data()?;
             }
-            Ok(())
+            Ok::<_, io::Error>(())
         })();
-        if result.is_err() {
-            self.write_failed = true;
+        match result {
+            Ok(()) => self.bytes_logged += self.frame.len() as u64,
+            Err(_) => self.write_failed = true,
         }
-        result
     }
 
-    /// Whether `open` truncated a torn final line left by a crash
+    /// Whether `open` truncated a torn final frame left by a crash
     /// mid-append.
     pub fn recovered_torn_tail(&self) -> bool {
         self.recovered_torn_tail
@@ -331,41 +486,38 @@ impl FileHistory {
         self.max_verdict_round
     }
 
+    /// Hands over the last [`VERDICT_TAIL`] verdict rows the open replayed,
+    /// oldest first. The handle keeps no copy: a second call (or one on a
+    /// new log) returns nothing.
+    pub fn take_replayed_verdicts(&mut self) -> Vec<VerdictRecord> {
+        std::mem::take(&mut self.replayed_verdicts).into()
+    }
+
     /// Appends verdict rows and an optional `commit` round stamp as one
-    /// buffered write (then one flush / fsync) — the round-marker analogue
-    /// of [`HistoryStore::set_batch`]. Best-effort like every append: write
-    /// errors surface at the next explicit I/O call site.
+    /// frame — the round-marker analogue of [`HistoryStore::set_batch`].
+    /// Best-effort like every append: write errors surface through
+    /// [`FileHistory::write_failed`].
     pub fn append_markers(&mut self, verdicts: &[VerdictRecord], commit: Option<u64>) {
-        let mut batch = String::new();
-        let mut entries = 0usize;
-        for v in verdicts {
-            let entry = WalEntry::Verdict {
-                round: v.round,
-                value: v.value,
-                voted: v.voted,
-            };
-            if let Ok(line) = serde_json::to_string(&entry) {
-                batch.push_str(&line);
-                batch.push('\n');
-                entries += 1;
-                self.max_verdict_round = self.max_verdict_round.max(Some(v.round));
-            }
-        }
-        if let Some(round) = commit {
-            if let Ok(line) = serde_json::to_string(&WalEntry::Commit { round }) {
-                batch.push_str(&line);
-                batch.push('\n');
-                entries += 1;
-                self.max_commit_round = self.max_commit_round.max(Some(round));
-            }
-        }
-        if batch.is_empty() {
-            return;
-        }
-        if self.log_write(batch.as_bytes()).is_ok() {
-            self.dirty_entries += entries;
-            self.bytes_logged += batch.len() as u64;
-        }
+        self.append_checkpoint(&[], verdicts, commit);
+    }
+
+    /// Appends a whole checkpoint — record writes, verdict rows and an
+    /// optional `commit` stamp — as one frame: after a crash either all of
+    /// it replays or none of it does, so the log's last `commit` always
+    /// names a round whose records and verdicts are complete.
+    pub fn append_checkpoint(
+        &mut self,
+        records: &[(ModuleId, f64)],
+        verdicts: &[VerdictRecord],
+        commit: Option<u64>,
+    ) {
+        let sets = records.iter().map(|&(module, value)| WalEntry::Set {
+            module: module.index(),
+            value: value.clamp(0.0, 1.0),
+        });
+        let rows = verdicts.iter().map(|&v| WalEntry::Verdict(v));
+        let stamp = commit.map(|round| WalEntry::Commit { round });
+        self.append_frame(sets.chain(rows).chain(stamp));
     }
 
     /// Bytes appended through this handle (a checkpoint-cost signal).
@@ -384,7 +536,7 @@ impl FileHistory {
         self.dirty_entries
     }
 
-    /// Rewrites the log to exactly one `set` line per live record, plus a
+    /// Rewrites the log to one frame holding a `set` per live record plus a
     /// final `commit` stamp preserving the round watermark. Verdict rows are
     /// dropped — round-preserving compaction is the segment fold's job
     /// (see the `tiered` module); this rewrite is for standalone stores.
@@ -394,59 +546,38 @@ impl FileHistory {
     /// Propagates I/O errors; on error the original log remains valid (the
     /// rewrite goes through a temporary file + rename).
     pub fn compact(&mut self) -> io::Result<()> {
+        let sets = self.records.iter().map(|(&m, &value)| WalEntry::Set {
+            module: m.index(),
+            value,
+        });
+        let stamp = self
+            .max_commit_round
+            .map(|round| WalEntry::Commit { round });
+        let entries = self.records.len() + usize::from(stamp.is_some());
+        let mut payload = Vec::new();
+        encode_payload(&mut payload, sets.chain(stamp));
+        let mut image = WAL_MAGIC.to_vec();
+        if !payload.is_empty() {
+            put_frame(&mut image, &payload);
+        }
         let tmp = self.path.with_extension("compact-tmp");
-        let mut lines = self.records.len();
         {
             fio::check_op(Site::WalAppend)?;
-            let mut w = BufWriter::new(File::create(&tmp)?);
-            for (&m, &v) in &self.records {
-                let entry = WalEntry::Set {
-                    module: m.index(),
-                    value: v,
-                };
-                let line = serde_json::to_string(&entry)?;
-                fio::write_all(Site::WalAppend, &mut w, line.as_bytes())?;
-                fio::write_all(Site::WalAppend, &mut w, b"\n")?;
-            }
-            if let Some(round) = self.max_commit_round {
-                let line = serde_json::to_string(&WalEntry::Commit { round })?;
-                fio::write_all(Site::WalAppend, &mut w, line.as_bytes())?;
-                fio::write_all(Site::WalAppend, &mut w, b"\n")?;
-                lines += 1;
-            }
-            fio::flush(Site::WalFlush, &mut w)?;
+            let mut f = File::create(&tmp)?;
+            fio::write_all(Site::WalAppend, &mut f, &image)?;
+            fio::flush(Site::WalFlush, &mut f)?;
         }
         std::fs::rename(&tmp, &self.path)?;
-        self.writer = BufWriter::new(
-            OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(&self.path)?,
-        );
-        self.dirty_entries = lines;
+        self.file = OpenOptions::new().append(true).open(&self.path)?;
+        self.dirty_entries = entries;
         // The rewrite holds only live records: any replayed `clear` is now
-        // physically gone from the log.
+        // physically gone from the log, and so are the verdict rows.
         self.saw_clear = false;
         self.max_verdict_round = None;
         // The log is whole again — a full rewrite from in-memory state is
         // exactly the repair a sick WAL needs.
         self.write_failed = false;
         Ok(())
-    }
-
-    fn append(&mut self, entry: &WalEntry) {
-        // A failed append must not corrupt in-memory state; the paper's
-        // scenario tolerates best-effort persistence, so log write errors
-        // raise `write_failed` for the next explicit call site to act on.
-        let mut line = match serde_json::to_string(entry) {
-            Ok(line) => line,
-            Err(_) => return,
-        };
-        line.push('\n');
-        if self.log_write(line.as_bytes()).is_ok() {
-            self.dirty_entries += 1;
-            self.bytes_logged += line.len() as u64;
-        }
     }
 }
 
@@ -456,41 +587,15 @@ impl HistoryStore for FileHistory {
     }
 
     fn set(&mut self, module: ModuleId, value: f64) {
-        let value = value.clamp(0.0, 1.0);
-        self.records.insert(module, value);
-        self.append(&WalEntry::Set {
-            module: module.index(),
-            value,
-        });
+        self.append_checkpoint(&[(module, value)], &[], None);
     }
 
     fn set_batch(&mut self, records: &[(ModuleId, f64)]) {
-        // One buffered write + one flush (+ one fsync) for the whole batch —
-        // the CorkedWriter discipline applied to the WAL. With per-write
-        // `Fsync` durability this is the difference between N platter waits
-        // and one.
-        let mut batch = String::new();
-        let mut entries = 0usize;
-        for &(module, value) in records {
-            let value = value.clamp(0.0, 1.0);
-            self.records.insert(module, value);
-            let entry = WalEntry::Set {
-                module: module.index(),
-                value,
-            };
-            if let Ok(line) = serde_json::to_string(&entry) {
-                batch.push_str(&line);
-                batch.push('\n');
-                entries += 1;
-            }
-        }
-        if batch.is_empty() {
-            return;
-        }
-        if self.log_write(batch.as_bytes()).is_ok() {
-            self.dirty_entries += entries;
-            self.bytes_logged += batch.len() as u64;
-        }
+        // One frame — one write + one flush (+ one fsync) — for the whole
+        // batch: the CorkedWriter discipline applied to the WAL. With
+        // per-write `Fsync` durability this is the difference between N
+        // platter waits and one.
+        self.append_checkpoint(records, &[], None);
     }
 
     fn snapshot(&self) -> Vec<(ModuleId, f64)> {
@@ -498,9 +603,7 @@ impl HistoryStore for FileHistory {
     }
 
     fn clear(&mut self) {
-        self.records.clear();
-        self.saw_clear = true;
-        self.append(&WalEntry::Clear);
+        self.append_frame(std::iter::once(WalEntry::Clear));
     }
 
     fn get_or_init(&mut self, module: ModuleId) -> f64 {
@@ -607,14 +710,34 @@ mod tests {
     #[test]
     fn corrupt_mid_file_is_invalid_data() {
         let path = tmp_path("corrupt");
-        // A bad line *followed by valid data* is damage, not a torn append.
-        std::fs::write(
-            &path,
-            "{not json\n{\"op\":\"set\",\"module\":0,\"value\":0.5}\n",
-        )
-        .unwrap();
+        let _ = std::fs::remove_file(&path);
+        {
+            let mut s = FileHistory::open(&path).unwrap();
+            s.set(m(0), 0.5);
+            s.set(m(1), 0.25);
+        }
+        // A bad frame *followed by another frame* is damage, not a torn
+        // append: flip the first frame's last payload byte (both frames
+        // have the same length).
+        let mut bytes = std::fs::read(&path).unwrap();
+        let first_frame_end = WAL_MAGIC.len() + (bytes.len() - WAL_MAGIC.len()) / 2;
+        bytes[first_frame_end - 1] ^= 0x40;
+        std::fs::write(&path, &bytes).unwrap();
         let err = FileHistory::open(&path).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn foreign_files_are_rejected_not_truncated() {
+        let path = tmp_path("foreign");
+        // A JSON-lines log (the format before this one) is not ours: the
+        // open fails instead of "repairing" it into an empty log.
+        let legacy = "{\"op\":\"set\",\"module\":0,\"value\":0.5}\n";
+        std::fs::write(&path, legacy).unwrap();
+        let err = FileHistory::open(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), legacy);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -626,17 +749,18 @@ mod tests {
             let mut s = FileHistory::open(&path).unwrap();
             s.set(m(0), 0.25);
             s.set(m(1), 0.75);
+            s.set(m(2), 0.5);
         }
-        // Crash mid-append: a partial log line with no data after it.
-        let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-        f.write_all(b"{\"op\":\"set\",\"mod").unwrap();
-        drop(f);
+        // Crash mid-append: the last frame lost its final bytes.
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
         let torn_len = std::fs::metadata(&path).unwrap().len();
 
         let s = FileHistory::open(&path).unwrap();
         assert!(s.recovered_torn_tail());
         assert_eq!(s.get(m(0)), Some(0.25));
         assert_eq!(s.get(m(1)), Some(0.75));
+        assert_eq!(s.get(m(2)), None);
         // The tail was physically truncated, so the next append produces a
         // clean log again.
         assert!(std::fs::metadata(&path).unwrap().len() < torn_len);
@@ -654,10 +778,10 @@ mod tests {
         {
             let mut s = FileHistory::open(&path).unwrap();
             s.set(m(3), 0.5);
+            s.clear();
         }
-        let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-        f.write_all(b"{\"op\":\"cl").unwrap();
-        drop(f);
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &bytes[..bytes.len() - 1]).unwrap();
         {
             let mut s = FileHistory::open(&path).unwrap();
             assert!(s.recovered_torn_tail());
@@ -670,31 +794,36 @@ mod tests {
     }
 
     #[test]
-    fn severed_final_newline_is_repaired_so_appends_stay_parseable() {
-        let path = tmp_path("severed-newline");
+    fn a_checkpoint_frame_replays_whole_or_not_at_all() {
+        let path = tmp_path("atomic-checkpoint");
         let _ = std::fs::remove_file(&path);
-        {
+        let before = {
             let mut s = FileHistory::open(&path).unwrap();
-            s.set(m(0), 0.25);
-            s.set(m(1), 0.75);
-        }
-        // Crash between the entry bytes and the trailing newline: the final
-        // line is complete JSON but unterminated.
+            s.append_checkpoint(&[(m(0), 0.5)], &[], Some(1));
+            let before = std::fs::metadata(&path).unwrap().len() as usize;
+            s.append_checkpoint(
+                &[(m(0), 0.25), (m(1), 0.75)],
+                &[VerdictRecord {
+                    round: 2,
+                    value: Some(18.5),
+                    voted: true,
+                }],
+                Some(2),
+            );
+            before
+        };
         let bytes = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &bytes[..bytes.len() - 1]).unwrap();
-        {
+        for cut in before..bytes.len() {
+            std::fs::write(&path, &bytes[..cut]).unwrap();
             let mut s = FileHistory::open(&path).unwrap();
-            // Nothing was lost, so this is not a torn tail.
-            assert!(!s.recovered_torn_tail());
-            assert_eq!(s.get(m(1)), Some(0.75));
-            // Without the newline repair this append would glue onto the
-            // unterminated line and poison the log for the next open.
-            s.set(m(2), 0.5);
+            assert_eq!(s.committed_round(), Some(1), "cut at {cut}");
+            assert_eq!(s.snapshot(), vec![(m(0), 0.5)], "cut at {cut}");
+            assert!(s.take_replayed_verdicts().is_empty(), "cut at {cut}");
         }
+        std::fs::write(&path, &bytes).unwrap();
         let s = FileHistory::open(&path).unwrap();
-        assert_eq!(s.get(m(0)), Some(0.25));
-        assert_eq!(s.get(m(1)), Some(0.75));
-        assert_eq!(s.get(m(2)), Some(0.5));
+        assert_eq!(s.committed_round(), Some(2));
+        assert_eq!(s.snapshot(), vec![(m(0), 0.25), (m(1), 0.75)]);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -707,7 +836,8 @@ mod tests {
             s.set(m(0), 0.5);
             s.set(m(1), 0.25);
             assert!(s.bytes_logged() > 0);
-            assert_eq!(s.bytes_logged(), std::fs::metadata(&path).unwrap().len());
+            let len = std::fs::metadata(&path).unwrap().len();
+            assert_eq!(s.bytes_logged(), len - WAL_MAGIC.len() as u64);
         }
         let s = FileHistory::open_with(&path, Durability::Fsync).unwrap();
         assert_eq!(s.get(m(0)), Some(0.5));
@@ -756,27 +886,46 @@ mod tests {
             assert_eq!(s.committed_round(), Some(4));
             assert_eq!(s.max_verdict_round(), Some(4));
         }
-        let s = FileHistory::open(&path).unwrap();
+        let mut s = FileHistory::open(&path).unwrap();
         assert_eq!(s.committed_round(), Some(4));
         assert_eq!(s.max_verdict_round(), Some(4));
+        let rows = s.take_replayed_verdicts();
+        assert_eq!(rows[0].value, Some(19.25));
+        assert_eq!(
+            (rows[1].round, rows[1].value, rows[1].voted),
+            (4, None, false)
+        );
         assert_eq!(s.get(m(0)), Some(0.5));
         assert_eq!(s.get(m(1)), Some(0.75));
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
-    fn v1_logs_without_markers_still_replay() {
-        let path = tmp_path("v1-compat");
-        std::fs::write(
-            &path,
-            "{\"op\":\"set\",\"module\":0,\"value\":0.5}\n{\"op\":\"clear\"}\n{\"op\":\"set\",\"module\":1,\"value\":0.25}\n",
-        )
-        .unwrap();
-        let s = FileHistory::open(&path).unwrap();
-        assert_eq!(s.get(m(0)), None);
-        assert_eq!(s.get(m(1)), Some(0.25));
-        assert!(s.saw_clear());
-        assert_eq!(s.committed_round(), None);
+    fn replayed_verdicts_keep_the_last_tail_in_order() {
+        let path = tmp_path("verdict-tail");
+        let _ = std::fs::remove_file(&path);
+        {
+            let mut s = FileHistory::open(&path).unwrap();
+            for round in 0..(VERDICT_TAIL as u64 + 10) {
+                let value = (round % 3 != 0).then_some(round as f64 * 0.5);
+                s.append_markers(
+                    &[VerdictRecord {
+                        round,
+                        value,
+                        voted: value.is_some(),
+                    }],
+                    Some(round),
+                );
+            }
+        }
+        let mut s = FileHistory::open(&path).unwrap();
+        let tail = s.take_replayed_verdicts();
+        assert_eq!(tail.len(), VERDICT_TAIL);
+        assert_eq!(tail[0].round, 10);
+        let last = tail[VERDICT_TAIL - 1];
+        assert_eq!(last.round, VERDICT_TAIL as u64 + 9);
+        assert_eq!(last.value, Some(last.round as f64 * 0.5));
+        assert!(s.take_replayed_verdicts().is_empty(), "handed over once");
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -804,7 +953,8 @@ mod tests {
         let mut s = FileHistory::open(&path).unwrap();
         s.set_batch(&[(m(0), 0.1), (m(1), 0.2), (m(2), 0.3)]);
         assert_eq!(s.log_len(), 3);
-        assert_eq!(s.bytes_logged(), std::fs::metadata(&path).unwrap().len());
+        let len = std::fs::metadata(&path).unwrap().len();
+        assert_eq!(s.bytes_logged(), len - WAL_MAGIC.len() as u64);
         drop(s);
         let s = FileHistory::open(&path).unwrap();
         assert_eq!(s.snapshot().len(), 3);

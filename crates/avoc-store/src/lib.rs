@@ -5,9 +5,9 @@
 //! being the bottleneck". This crate provides the datastore layer behind
 //! [`avoc_core::HistoryStore`]:
 //!
-//! * [`FileHistory`] — a durable store backed by a JSON-lines write-ahead
-//!   log with explicit compaction, mirroring the paper's persistent record
-//!   keeping;
+//! * [`FileHistory`] — a durable store backed by a binary, CRC-framed
+//!   write-ahead log with explicit compaction, mirroring the paper's
+//!   persistent record keeping;
 //! * [`SharedHistory`] — a thread-safe in-memory store for the middleware
 //!   layer, where an edge voter service and a monitoring endpoint share the
 //!   records;
@@ -32,7 +32,7 @@ mod shared;
 mod tiered;
 
 pub use cached::CachedHistory;
-pub use file::{Durability, FileHistory, VerdictRecord};
+pub use file::{Durability, FileHistory, VerdictRecord, VERDICT_TAIL};
 pub use segment::{SegmentFile, SessionRows};
 pub use shared::SharedHistory;
 pub use tiered::{

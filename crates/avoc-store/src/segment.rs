@@ -30,7 +30,7 @@
 //! is bounds-checked and fails clean on truncated, lying or bit-flipped
 //! input (the segment proptests drive all three).
 
-use crate::codec::{crc32, put_u32_le, put_varint, DecodeError, Reader};
+use crate::codec::{crc32, put_u32_le, put_varint, put_xor_f64, DecodeError, Reader};
 use crate::file::VerdictRecord;
 use std::fs::File;
 use std::io;
@@ -196,9 +196,7 @@ fn encode_block(session: u64, history: &[HistoryRow], verdicts: &[VerdictRecord]
     pack_2bit(history.iter().map(|r| r.dir as u8), &mut body);
     let mut prev_bits = 0u64;
     for r in history {
-        let bits = r.trust.to_bits();
-        put_varint(&mut body, bits ^ prev_bits);
-        prev_bits = bits;
+        put_xor_f64(&mut body, r.trust, &mut prev_bits);
     }
     // Verdict columns.
     let mut prev = first_round;
@@ -215,9 +213,7 @@ fn encode_block(session: u64, history: &[HistoryRow], verdicts: &[VerdictRecord]
     let mut prev_bits = 0u64;
     for v in verdicts {
         if let Some(value) = v.value {
-            let bits = value.to_bits();
-            put_varint(&mut body, bits ^ prev_bits);
-            prev_bits = bits;
+            put_xor_f64(&mut body, value, &mut prev_bits);
         }
     }
     let mut block = Vec::with_capacity(body.len() + 4);
@@ -298,8 +294,7 @@ pub fn decode_block(bytes: &[u8], entry: &BlockEntry) -> Result<DecodedBlock, De
     let mut trusts = Vec::with_capacity(n_hist);
     let mut prev_bits = 0u64;
     for _ in 0..n_hist {
-        prev_bits ^= r.varint()?;
-        trusts.push(f64::from_bits(prev_bits));
+        trusts.push(r.xor_f64(&mut prev_bits)?);
     }
     // Verdict columns.
     let mut verd_rounds = Vec::with_capacity(n_verd);
@@ -325,8 +320,7 @@ pub fn decode_block(bytes: &[u8], entry: &BlockEntry) -> Result<DecodedBlock, De
     for i in 0..n_verd {
         let voted = flags[i] & 0b01 != 0;
         let value = if flags[i] & 0b10 != 0 {
-            prev_bits ^= r.varint()?;
-            Some(f64::from_bits(prev_bits))
+            Some(r.xor_f64(&mut prev_bits)?)
         } else {
             None
         };

@@ -996,15 +996,7 @@ fn committed_batches(entries: &[WalEntry]) -> Vec<Batch> {
                 value: *value,
             }),
             WalEntry::Clear => cur.ops.push(Op::Clear),
-            WalEntry::Verdict {
-                round,
-                value,
-                voted,
-            } => cur.verdicts.push(VerdictRecord {
-                round: *round,
-                value: *value,
-                voted: *voted,
-            }),
+            WalEntry::Verdict(v) => cur.verdicts.push(*v),
             WalEntry::Commit { round } => {
                 cur.round = *round;
                 batches.push(std::mem::take(&mut cur));

@@ -98,7 +98,7 @@ pub mod fault {
         WalFlush,
         /// WAL `fsync` under `Durability::Fsync`.
         WalSync,
-        /// Checkpoint meta sidecar write/rename.
+        /// Session identity sidecar write/rename (open, export, import).
         MetaWrite,
         /// Segment file write during compaction.
         SegmentWrite,

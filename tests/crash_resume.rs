@@ -33,9 +33,14 @@ fn registry() -> Arc<SpecRegistry> {
 }
 
 fn start_daemon(state_dir: Option<&Path>) -> TcpServer {
+    start_daemon_every(state_dir, Persistence::default().checkpoint_every)
+}
+
+fn start_daemon_every(state_dir: Option<&Path>, checkpoint_every: u64) -> TcpServer {
     let config = ServeConfig {
         persistence: Persistence {
             state_dir: state_dir.map(Path::to_path_buf),
+            checkpoint_every,
             ..Persistence::default()
         },
         ..ServeConfig::default()
@@ -431,5 +436,124 @@ fn disk_full_heals_and_resumes_warm() {
 
     client.close_session(SESSION).expect("close");
     server_b.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn wal_len(dir: &Path) -> u64 {
+    std::fs::metadata(dir.join(format!("session-{SESSION:016x}.wal"))).map_or(0, |m| m.len())
+}
+
+/// The uninterrupted reference stream for `rounds`, persistence off.
+fn reference_run(rounds: std::ops::Range<u64>) -> Vec<(u64, Option<u64>, bool)> {
+    let server = start_daemon(None);
+    let mut client = client_for(&server);
+    client
+        .open_session(SESSION, MODULES, SpecSource::Named("avoc".into()), TOKEN)
+        .expect("open");
+    let expected = run_rounds(&mut client, rounds);
+    client.close_session(SESSION).expect("close");
+    server.shutdown();
+    expected
+}
+
+/// A hard kill that lands mid-append leaves the checkpoint frame it was
+/// writing torn. The frame replays whole or not at all, so the session
+/// resumes warm at the *previous* commit; the round whose checkpoint was
+/// lost never reached the client, whose replayed readings re-fuse it, and
+/// the stream stays bit-identical.
+#[test]
+fn wal_cut_mid_record_resumes_warm_at_the_previous_commit() {
+    let _g = gate();
+    let expected = reference_run(0..10);
+
+    let dir = state_dir("midrecord");
+    let server_a = start_daemon(Some(&dir));
+    let mut client = client_for(&server_a);
+    client
+        .open_session(SESSION, MODULES, SpecSource::Named("avoc".into()), TOKEN)
+        .expect("open");
+    let mut got = run_rounds(&mut client, 0..5);
+    // Round 4's checkpoint is on disk before its result leaves the shard.
+    let committed = wal_len(&dir);
+    feed_round(&mut client, 5);
+    wait_until("round 5's checkpoint frame lands", || {
+        wal_len(&dir) > committed
+    });
+    server_a.abort();
+
+    // The crash severed round 5's frame three bytes short of its end.
+    let wal = dir.join(format!("session-{SESSION:016x}.wal"));
+    let bytes = std::fs::read(&wal).expect("read WAL");
+    std::fs::write(&wal, &bytes[..bytes.len() - 3]).expect("cut WAL");
+
+    let server_b = start_daemon(Some(&dir));
+    client.redirect(server_b.local_addr());
+    got.push(expect_result(&mut client));
+    got.extend(run_rounds(&mut client, 6..10));
+    assert_eq!(got, expected, "resumed outputs must be bit-identical");
+    assert_eq!(
+        client.last_resume(SESSION),
+        Some((Some(4), true)),
+        "warm at the last intact commit"
+    );
+    let counters = server_b.service().counters();
+    assert_eq!(counters.recoveries, 1);
+    assert_eq!(counters.torn_tail_recoveries, 1);
+
+    client.close_session(SESSION).expect("close");
+    server_b.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A checkpoint is one WAL append and nothing else: across several
+/// checkpoint cadences the identity sidecar is never rewritten (same inode,
+/// same mtime, no `.meta.tmp`), a sidecar write fault armed meanwhile never
+/// fires, and every checkpoint byte lands in the WAL.
+#[test]
+fn checkpoints_append_to_the_wal_and_never_touch_the_sidecar() {
+    let _g = gate();
+    use std::os::unix::fs::MetadataExt;
+    use sysio::fault::{self, Kind, Plan, Site};
+
+    const EVERY: u64 = 4;
+    let expected = reference_run(0..3 * EVERY);
+    let dir = state_dir("sidecar");
+    let server = start_daemon_every(Some(&dir), EVERY);
+    let mut client = client_for(&server);
+    client
+        .open_session(SESSION, MODULES, SpecSource::Named("avoc".into()), TOKEN)
+        .expect("open");
+    let sidecar = dir.join(format!("session-{SESSION:016x}.meta"));
+    wait_until("the open lays down the sidecar", || sidecar.exists());
+    let before = std::fs::metadata(&sidecar).expect("sidecar");
+    let wal_before = wal_len(&dir);
+
+    fault::install(Plan::new(0x51DE).rule(Site::MetaWrite, Kind::Enospc, 1, u64::MAX));
+    let got = run_rounds(&mut client, 0..3 * EVERY);
+    fault::clear();
+    assert_eq!(got, expected);
+
+    let after = std::fs::metadata(&sidecar).expect("sidecar");
+    assert_eq!(after.ino(), before.ino(), "the sidecar was not replaced");
+    assert_eq!(after.modified().unwrap(), before.modified().unwrap());
+    assert!(
+        !dir.join(format!("session-{SESSION:016x}.meta.tmp"))
+            .exists(),
+        "no sidecar rewrite was even started"
+    );
+    let counters = server.service().counters();
+    assert_eq!(
+        counters.checkpoint_failures, 0,
+        "no checkpoint wrote the sidecar"
+    );
+    assert!(counters.checkpoint_bytes > 0);
+    assert_eq!(
+        wal_len(&dir) - wal_before,
+        counters.checkpoint_bytes,
+        "every checkpoint byte is a WAL append"
+    );
+
+    client.close_session(SESSION).expect("close");
+    server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

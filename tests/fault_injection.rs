@@ -198,21 +198,24 @@ fn eintr_on_every_site_has_no_observable_effect() {
 
 /// Persistent write failures on each durable-write site push the session
 /// into degraded (memory-only) mode; the served stream must not notice.
+/// The identity sidecar is written only when the session's identity
+/// changes, so its fault is armed before the open, where the sidecar write
+/// happens: the store fails to create and the session starts degraded.
 #[test]
 fn persistent_disk_faults_degrade_but_never_diverge() {
     let _g = gate();
     let expected = baseline();
-    let cases: Vec<(&'static str, Site, Kind, bool)> = vec![
-        ("wal-enospc", Site::WalAppend, Kind::Enospc, false),
-        ("flush-enospc", Site::WalFlush, Kind::Enospc, false),
-        ("sync-enospc", Site::WalSync, Kind::Enospc, true),
-        ("meta-enospc", Site::MetaWrite, Kind::Enospc, false),
+    let cases: Vec<(&'static str, Site, Kind, bool, bool)> = vec![
+        ("wal-enospc", Site::WalAppend, Kind::Enospc, false, false),
+        ("flush-enospc", Site::WalFlush, Kind::Enospc, false, false),
+        ("sync-enospc", Site::WalSync, Kind::Enospc, true, false),
+        ("meta-enospc", Site::MetaWrite, Kind::Enospc, false, true),
     ];
-    for (tag, site, kind, fsync) in cases {
+    for (tag, site, kind, fsync, before_open) in cases {
         let (got, snap) = run_scenario(Scenario {
             tag,
             plan: Plan::new(0xD15C).rule(site, kind, 1, u64::MAX),
-            before_open: false,
+            before_open,
             persistent: true,
             fsync,
         });

@@ -2,7 +2,8 @@
 //! *any* byte offset — the artefact a crash mid-append leaves behind —
 //! recovers to the state of some prefix of the log: every fully-written
 //! entry before the cut is applied, the torn entry (if any) is discarded,
-//! and the open never errors and never fabricates state.
+//! and the open never errors and never fabricates state. A single flipped
+//! bit anywhere recovers the intact prefix or fails the open cleanly.
 
 use avoc::core::history::HistoryStore;
 use avoc::core::ModuleId;
@@ -21,78 +22,119 @@ fn scratch(tag: &str) -> std::path::PathBuf {
     ))
 }
 
+/// Writes `ops` (`Some((module, value))` is a set, `None` a clear) to a
+/// fresh log and returns its bytes plus the log length after the open and
+/// after each operation — the entry boundaries.
+fn write_log(ops: &[Option<(u32, f64)>]) -> (Vec<u8>, Vec<usize>) {
+    let path = scratch("full");
+    let len = |p: &std::path::Path| std::fs::metadata(p).unwrap().len() as usize;
+    let mut boundaries = Vec::with_capacity(ops.len() + 1);
+    {
+        let mut h = FileHistory::open(&path).unwrap();
+        boundaries.push(len(&path));
+        for op in ops {
+            match op {
+                Some((m, v)) => h.set(ModuleId::new(*m), *v),
+                None => h.clear(),
+            }
+            boundaries.push(len(&path));
+        }
+    }
+    let bytes = std::fs::read(&path).unwrap();
+    let _ = std::fs::remove_file(&path);
+    (bytes, boundaries)
+}
+
+/// The state after replaying the first `n` operations.
+fn prefix_state(ops: &[Option<(u32, f64)>], n: usize) -> BTreeMap<u32, f64> {
+    let mut expected = BTreeMap::new();
+    for op in &ops[..n] {
+        match op {
+            // The store clamps on write; mirror it.
+            Some((m, v)) => {
+                expected.insert(*m, v.clamp(0.0, 1.0));
+            }
+            None => expected.clear(),
+        }
+    }
+    expected
+}
+
+fn state_of(h: &FileHistory) -> BTreeMap<u32, f64> {
+    h.snapshot()
+        .into_iter()
+        .map(|(m, v)| (m.index(), v))
+        .collect()
+}
+
 proptest! {
     /// Write a log of set/clear operations, then truncate the file at every
     /// byte offset and reopen. Each reopen must succeed with exactly the
-    /// state of the operations whose trailing newline survived the cut.
+    /// state of the operations whose entries were wholly written before
+    /// the cut.
     #[test]
     fn truncation_at_every_offset_yields_a_prefix_state(
         // `Some((module, value))` is a set, `None` is a clear.
         ops in prop::collection::vec(prop::option::of((0u32..6, 0.0f64..1.0)), 1..8),
     ) {
-        // Write the full log once.
-        let path = scratch("full");
-        {
-            let mut h = FileHistory::open(&path).unwrap();
-            for op in &ops {
-                match op {
-                    Some((m, v)) => h.set(ModuleId::new(*m), *v),
-                    None => h.clear(),
-                }
-            }
-        }
-        let bytes = std::fs::read(&path).unwrap();
+        let (bytes, boundaries) = write_log(&ops);
         prop_assert!(!bytes.is_empty());
-
-        // Entry k is fully durable iff its trailing newline is before the
-        // cut; replay that prefix to get the expected state.
-        let newline_offsets: Vec<usize> = bytes
-            .iter()
-            .enumerate()
-            .filter(|(_, &b)| b == b'\n')
-            .map(|(i, _)| i)
-            .collect();
-        prop_assert_eq!(newline_offsets.len(), ops.len());
+        prop_assert_eq!(boundaries[ops.len()], bytes.len());
 
         let torn = scratch("torn");
         for cut in 0..=bytes.len() {
-            // Entry k survives the cut iff all of its JSON bytes do — its
-            // newline may be the one byte severed (the store repairs that on
-            // open without counting it as a torn tail).
-            let durable = newline_offsets.iter().filter(|&&o| o <= cut).count();
-            let mut expected: BTreeMap<u32, f64> = BTreeMap::new();
-            for op in &ops[..durable] {
-                match op {
-                    Some((m, v)) => {
-                        // The store clamps on write; mirror it.
-                        expected.insert(*m, v.clamp(0.0, 1.0));
-                    }
-                    None => expected.clear(),
-                }
-            }
+            // Entry k is durable iff the log ended at or past its boundary.
+            let durable = boundaries[1..].iter().filter(|&&b| b <= cut).count();
+            let expected = prefix_state(&ops, durable);
 
             std::fs::write(&torn, &bytes[..cut]).unwrap();
             let h = FileHistory::open(&torn).unwrap_or_else(|e| {
                 panic!("cut at {cut}/{} must recover, got {e}", bytes.len())
             });
-            let got: BTreeMap<u32, f64> = h
-                .snapshot()
-                .into_iter()
-                .map(|(m, v)| (m.index(), v))
-                .collect();
-            prop_assert_eq!(&got, &expected, "cut at {}", cut);
-            // A cut strictly inside an entry's JSON is a torn tail; a cut at
-            // an entry boundary (with or without its newline) is clean.
-            let consumed = if durable == 0 {
-                0
-            } else {
-                (newline_offsets[durable - 1] + 1).min(cut)
-            };
-            prop_assert_eq!(h.recovered_torn_tail(), cut > consumed, "cut at {}", cut);
+            prop_assert_eq!(&state_of(&h), &expected, "cut at {}", cut);
+            // A cut at an entry boundary (or of the whole file) is clean;
+            // anywhere else it severed an entry, which is a torn tail.
+            let clean = cut == 0 || boundaries.contains(&cut);
+            prop_assert_eq!(h.recovered_torn_tail(), !clean, "cut at {}", cut);
         }
-
-        let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(&torn);
+    }
+
+    /// Flip every single bit of the log in turn and reopen. Each open must
+    /// either recover the longest intact prefix — every entry before the
+    /// damaged one, nothing from it or after it — or stop cleanly with
+    /// `InvalidData`. It never panics and never returns a wrong value.
+    #[test]
+    fn a_flipped_bit_yields_the_intact_prefix_or_a_clean_stop(
+        ops in prop::collection::vec(prop::option::of((0u32..6, 0.0f64..1.0)), 1..8),
+    ) {
+        let (bytes, boundaries) = write_log(&ops);
+        let flipped = scratch("flip");
+        for bit in 0..bytes.len() * 8 {
+            let byte = bit / 8;
+            // Entries wholly before the damaged byte are the intact prefix.
+            let intact = boundaries[1..].iter().filter(|&&b| b <= byte).count();
+            let mut damaged = bytes.clone();
+            damaged[byte] ^= 1 << (bit % 8);
+            std::fs::write(&flipped, &damaged).unwrap();
+            match FileHistory::open(&flipped) {
+                Ok(h) => prop_assert_eq!(
+                    &state_of(&h),
+                    &prefix_state(&ops, intact),
+                    "bit {} of {}",
+                    bit,
+                    bytes.len() * 8
+                ),
+                Err(e) => prop_assert_eq!(
+                    e.kind(),
+                    std::io::ErrorKind::InvalidData,
+                    "bit {}: {}",
+                    bit,
+                    e
+                ),
+            }
+        }
+        let _ = std::fs::remove_file(&flipped);
     }
 
     /// After torn-tail recovery the log is append-ready: new writes land,
