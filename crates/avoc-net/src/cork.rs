@@ -15,7 +15,7 @@
 //! backlog to coalesce. No frame waits on a clock tick.
 
 use crate::message::Message;
-use avoc_obs::{Counter, Registry};
+use avoc_obs::Counter;
 use bytes::{Buf, BytesMut};
 use std::io::{self, Write};
 
@@ -65,34 +65,6 @@ impl CorkMetrics {
             bytes,
         }
     }
-
-    /// Registers (or finds) the four writer counters under the standard
-    /// `avoc_net_*` names with `labels` (idempotent, so every connection of
-    /// one daemon shares the same cells).
-    pub fn register(registry: &Registry, labels: &[(&str, &str)]) -> Self {
-        CorkMetrics {
-            frames: registry.counter_with(
-                "avoc_net_frames_sent_total",
-                "Frames encoded into cork buffers.",
-                labels,
-            ),
-            flushes: registry.counter_with(
-                "avoc_net_writer_flushes_total",
-                "Completed corked-writer flushes.",
-                labels,
-            ),
-            writes: registry.counter_with(
-                "avoc_net_writer_writes_total",
-                "write(2) calls issued by corked writers.",
-                labels,
-            ),
-            bytes: registry.counter_with(
-                "avoc_net_bytes_sent_total",
-                "Payload bytes handed to sockets by corked writers.",
-                labels,
-            ),
-        }
-    }
 }
 
 /// A per-connection corked writer: encode many frames, write once.
@@ -106,7 +78,6 @@ impl CorkMetrics {
 pub struct CorkedWriter<W: Write> {
     inner: W,
     buf: BytesMut,
-    cork_limit: usize,
     stats: WriterStats,
     metrics: Option<CorkMetrics>,
 }
@@ -114,16 +85,9 @@ pub struct CorkedWriter<W: Write> {
 impl<W: Write> CorkedWriter<W> {
     /// Wraps `inner` with the [`DEFAULT_CORK_LIMIT`].
     pub fn new(inner: W) -> Self {
-        CorkedWriter::with_cork_limit(inner, DEFAULT_CORK_LIMIT)
-    }
-
-    /// Wraps `inner`, flushing whenever more than `cork_limit` bytes are
-    /// pending.
-    pub fn with_cork_limit(inner: W, cork_limit: usize) -> Self {
         CorkedWriter {
             inner,
-            buf: BytesMut::with_capacity(cork_limit.min(DEFAULT_CORK_LIMIT)),
-            cork_limit,
+            buf: BytesMut::with_capacity(DEFAULT_CORK_LIMIT),
             stats: WriterStats::default(),
             metrics: None,
         }
@@ -147,7 +111,7 @@ impl<W: Write> CorkedWriter<W> {
     /// Whether the pending bytes have reached the cork threshold — the
     /// sender should flush before pushing more.
     pub fn is_corked_full(&self) -> bool {
-        self.buf.len() >= self.cork_limit
+        self.buf.len() >= DEFAULT_CORK_LIMIT
     }
 
     /// Whether any encoded bytes await a flush.
@@ -280,6 +244,7 @@ pub enum FlushOutcome {
 mod tests {
     use super::*;
     use avoc_core::ModuleId;
+    use avoc_obs::Registry;
     use std::net::{TcpListener, TcpStream};
     use std::time::{Duration, Instant};
 
@@ -335,11 +300,22 @@ mod tests {
         assert_eq!(stats.bytes, pending);
     }
 
+    /// The four writer cells, registered (or found) under `{shard="0"}`.
+    fn shard_cells(registry: &Registry) -> CorkMetrics {
+        let c = |name: &str| registry.counter_with(name, "Writer test cell.", &[("shard", "0")]);
+        CorkMetrics::from_parts(
+            c("avoc_net_frames_sent_total"),
+            c("avoc_net_writer_flushes_total"),
+            c("avoc_net_writer_writes_total"),
+            c("avoc_net_bytes_sent_total"),
+        )
+    }
+
     #[test]
     fn registry_metrics_mirror_local_stats() {
         let registry = Registry::new();
         let mut w = CorkedWriter::new(Vec::new());
-        w.set_metrics(CorkMetrics::register(&registry, &[("shard", "0")]));
+        w.set_metrics(shard_cells(&registry));
         for msg in sample_frames() {
             w.push(&msg);
         }
@@ -360,7 +336,7 @@ mod tests {
         )));
         // A second writer with the same labels lands on the same cells.
         let mut w2 = CorkedWriter::new(Vec::new());
-        w2.set_metrics(CorkMetrics::register(&registry, &[("shard", "0")]));
+        w2.set_metrics(shard_cells(&registry));
         w2.push(&Message::Shutdown);
         w2.flush().unwrap();
         assert!(registry.render_prometheus().contains(&format!(

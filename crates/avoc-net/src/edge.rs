@@ -2,37 +2,26 @@
 //!
 //! "We proposed voting definition format VDX that can be used to describe a
 //! voting procedure to a compatible voter service running on an edge node"
-//! (§8) — [`EdgeVoter`] is that service: it takes a VDX document, spawns one
-//! feeder thread per sensor (each speaking the wire protocol), assembles
-//! rounds in a [`SensorHub`] and fuses them on a [`SinkNode`].
+//! (§8) — [`EdgeVoter`] is that service in-process: it takes a VDX document,
+//! feeds every sensor's wire messages to a [`SensorHub`] and fuses each
+//! assembled round on a [`VotingEngine`] — the same `hub.accept` →
+//! `engine.submit_ref` path a daemon session runs, on the caller's thread.
 
 use crate::hub::SensorHub;
 use crate::message::Message;
-use crate::sink::{SinkNode, SinkOutput};
-use crate::tcp::{SensorClient, TcpHub};
-use avoc_core::ModuleId;
+use avoc_core::{ModuleId, Round, RoundResult, VotingEngine};
 use avoc_sim::RecordedTrace;
 use avoc_vdx::{build_engine, VdxError, VdxSpec};
-use crossbeam::channel;
 
-/// Capacity of the feeder → hub wire channel. Trace replays are bursty —
-/// every feeder pushes as fast as it can — so the channel is bounded to
-/// backpressure feeders once the hub falls behind, instead of buffering an
-/// entire trace. Entries are multi-frame chunks of up to
-/// [`FEEDER_CHUNK_BYTES`], so 256 slots still bound memory to ~1 MiB.
-const WIRE_CHANNEL_CAPACITY: usize = 256;
-
-/// Feeders encode frames allocation-free into a reused scratch buffer and
-/// ship it once this many bytes accumulate (~160 frames), so the
-/// per-reading cost is one `Vec` per chunk instead of two allocations per
-/// frame.
-const FEEDER_CHUNK_BYTES: usize = 4096;
-
-/// Capacity of the hub → sink and sink → collector round channels. Rounds
-/// are produced at most once per `expected.len()` frames, so a much smaller
-/// buffer than [`WIRE_CHANNEL_CAPACITY`] already decouples voting latency
-/// spikes from round assembly without unbounded growth.
-const ROUND_CHANNEL_CAPACITY: usize = 64;
+/// One fused output, tagged with its round.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SinkOutput {
+    /// The round this outcome belongs to.
+    pub round: u64,
+    /// The engine's outcome (vote, fallback, skip) or the surfaced error
+    /// rendered as a string.
+    pub result: Result<RoundResult, String>,
+}
 
 /// A VDX-configured edge voting service.
 ///
@@ -70,154 +59,52 @@ impl EdgeVoter {
         &self.spec
     }
 
-    /// Like [`EdgeVoter::run_trace`], but over real TCP sockets on
-    /// loopback: one [`SensorClient`] connection per sensor streams to a
-    /// [`TcpHub`], whose assembled rounds feed the sink — the deployment
-    /// shape of Fig. 1 with the WiFi link made concrete.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket errors (bind/connect/write).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a worker thread panics.
-    pub fn run_trace_tcp(&self, trace: &RecordedTrace) -> std::io::Result<Vec<SinkOutput>> {
-        let engine = build_engine(&self.spec).expect("spec validated in constructor");
-        let modules: Vec<ModuleId> = (0..trace.modules().len())
-            .map(|i| ModuleId::new(i as u32))
-            .collect();
-        let (hub, round_rx) = TcpHub::bind("127.0.0.1:0", modules.clone(), modules.len())?;
-        let addr = hub.local_addr();
-
-        let mut feeders = Vec::new();
-        for (idx, &module) in modules.iter().enumerate() {
-            let series = trace.series(idx);
-            feeders.push(std::thread::spawn(move || -> std::io::Result<()> {
-                let mut client = SensorClient::connect(addr)?;
-                client.send_series(module, &series)
-            }));
-        }
-
-        let (out_tx, out_rx) = crossbeam::channel::bounded(ROUND_CHANNEL_CAPACITY);
-        let sink = SinkNode::spawn(engine, round_rx, out_tx);
-        let mut outputs: Vec<SinkOutput> = out_rx.iter().collect();
-        for f in feeders {
-            f.join().expect("feeder thread panicked")?;
-        }
-        hub.join();
-        sink.join();
-        outputs.sort_by_key(|o| o.round);
-        Ok(outputs)
-    }
-
-    /// Replays a recorded trace through the full pipeline: one feeder
-    /// thread per sensor encodes wire messages, the hub assembles rounds,
-    /// the sink votes. Returns the per-round outputs in round order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a worker thread panics.
+    /// Replays a recorded trace through the full pipeline: each round,
+    /// every sensor's `Reading`/`Missing` message goes to the hub, and every
+    /// round the hub assembles is fused by the engine. Returns the
+    /// per-round outputs in round order. Runs on the calling thread.
     pub fn run_trace(&self, trace: &RecordedTrace) -> Vec<SinkOutput> {
-        let engine = build_engine(&self.spec).expect("spec validated in constructor");
-        let modules: Vec<ModuleId> = (0..trace.modules().len())
-            .map(|i| ModuleId::new(i as u32))
-            .collect();
-
-        // Sensor feeders → hub thread.
-        let (wire_tx, wire_rx) = channel::bounded::<Vec<u8>>(WIRE_CHANNEL_CAPACITY);
-        let mut feeders = Vec::new();
-        for (idx, &module) in modules.iter().enumerate() {
-            let series = trace.series(idx);
-            let tx = wire_tx.clone();
-            feeders.push(std::thread::spawn(move || {
-                // One reused scratch per feeder thread: frames append
-                // in place and whole chunks cross the channel.
-                let mut scratch = bytes::BytesMut::with_capacity(FEEDER_CHUNK_BYTES + 64);
-                for (round, value) in series.into_iter().enumerate() {
-                    let msg = match value {
-                        Some(v) => Message::Reading {
-                            module,
-                            round: round as u64,
-                            value: v,
-                        },
-                        None => Message::Missing {
-                            module,
-                            round: round as u64,
-                        },
-                    };
-                    msg.encode_into(&mut scratch);
-                    if scratch.len() >= FEEDER_CHUNK_BYTES {
-                        if tx.send(scratch.to_vec()).is_err() {
-                            return;
-                        }
-                        scratch.clear();
-                    }
-                }
-                if !scratch.is_empty() {
-                    let _ = tx.send(scratch.to_vec());
-                }
-            }));
-        }
-        drop(wire_tx);
-
-        // Hub thread: decode frames, assemble rounds.
-        let (round_tx, round_rx) = channel::bounded(ROUND_CHANNEL_CAPACITY);
-        let hub_modules = modules.clone();
-        let rounds_total = trace.rounds();
-        let hub_handle = std::thread::spawn(move || {
-            // Feeders interleave arbitrarily; a generous lag tolerance keeps
-            // rounds complete, and the final flush drains the tail.
-            let mut hub = SensorHub::new(hub_modules).with_lag_tolerance(rounds_total as u64 + 1);
-            let mut buf = bytes::BytesMut::new();
-            for frame in wire_rx.iter() {
-                buf.extend_from_slice(&frame);
-                loop {
-                    match Message::decode(&mut buf) {
-                        Ok(msg) => {
-                            for round in hub.accept(msg) {
-                                if round_tx.send(round).is_err() {
-                                    return hub;
-                                }
-                            }
-                        }
-                        Err(crate::message::DecodeError::Incomplete) => break,
-                        Err(crate::message::DecodeError::FrameTooLarge { .. }) => {
-                            // Unreachable with our own encoder upstream, but
-                            // a capped frame cannot be resynced past: stop.
-                            return hub;
-                        }
-                        Err(_) => continue, // resynchronised past a bad frame
-                    }
+        let mut engine = build_engine(&self.spec).expect("spec validated in constructor");
+        let mut hub = SensorHub::new(
+            (0..trace.modules().len())
+                .map(|i| ModuleId::new(i as u32))
+                .collect(),
+        );
+        let mut outputs = Vec::with_capacity(trace.rounds());
+        for idx in 0..trace.rounds() {
+            let round = idx as u64;
+            for (i, &value) in trace.row(idx).iter().enumerate() {
+                let module = ModuleId::new(i as u32);
+                let msg = match value {
+                    Some(value) => Message::Reading {
+                        module,
+                        round,
+                        value,
+                    },
+                    None => Message::Missing { module, round },
+                };
+                for ready in hub.accept(msg) {
+                    outputs.push(fuse(&mut engine, &ready));
                 }
             }
-            for round in hub.flush_all() {
-                if round_tx.send(round).is_err() {
-                    break;
-                }
-            }
-            hub
-        });
-
-        // Sink node.
-        let (out_tx, out_rx) = channel::bounded(ROUND_CHANNEL_CAPACITY);
-        let sink = SinkNode::spawn(engine, round_rx, out_tx);
-
-        let mut outputs: Vec<SinkOutput> = out_rx.iter().collect();
-        for f in feeders {
-            f.join().expect("feeder thread panicked");
         }
-        hub_handle.join().expect("hub thread panicked");
-        sink.join();
-        outputs.sort_by_key(|o| o.round);
+        for ready in hub.flush_all() {
+            outputs.push(fuse(&mut engine, &ready));
+        }
         outputs
+    }
+}
+
+fn fuse(engine: &mut VotingEngine, round: &Round) -> SinkOutput {
+    SinkOutput {
+        round: round.round,
+        result: engine.submit_ref(round).cloned().map_err(|e| e.to_string()),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use avoc_core::RoundResult;
     use avoc_sim::{FaultInjector, FaultKind, LightScenario};
 
     #[test]
@@ -257,21 +144,6 @@ mod tests {
         let outputs = EdgeVoter::new(spec).unwrap().run_trace(&sparse);
         assert_eq!(outputs.len(), 30);
         assert!(outputs.iter().all(|o| o.result.is_ok()));
-    }
-
-    #[test]
-    fn tcp_run_matches_channel_run() {
-        let trace = LightScenario::new(4, 25, 31).generate();
-        let voter = EdgeVoter::new(VdxSpec::avoc()).unwrap();
-        let via_channels = voter.run_trace(&trace);
-        let via_tcp = voter.run_trace_tcp(&trace).expect("loopback sockets");
-        assert_eq!(via_channels.len(), via_tcp.len());
-        for (a, b) in via_channels.iter().zip(&via_tcp) {
-            assert_eq!(a.round, b.round);
-            let va = a.result.as_ref().unwrap().number();
-            let vb = b.result.as_ref().unwrap().number();
-            assert_eq!(va, vb, "round {}", a.round);
-        }
     }
 
     #[test]

@@ -2,8 +2,7 @@
 //!
 //! The paper's UC-1 deployment (Fig. 1) wires five light sensors through a
 //! VINT hub that streams to a voting sink node; UC-2 runs an "edge voter"
-//! on a laptop. This crate reproduces that pipeline as an in-process
-//! middleware over `crossbeam` channels:
+//! on a laptop. This crate holds that pipeline's pieces:
 //!
 //! * [`message`] — the length-prefixed binary wire protocol (built on
 //!   `bytes`) sensors speak to the hub;
@@ -13,13 +12,11 @@
 //! * [`hub`] — the [`hub::SensorHub`]: assembles per-module readings into
 //!   complete voting rounds, deadline-flushing partial rounds so missing
 //!   values surface as `None` ballots;
-//! * [`sink`] — the [`sink::SinkNode`]: a worker thread driving a
-//!   [`avoc_core::VotingEngine`] over incoming rounds;
-//! * [`edge`] — the [`edge::EdgeVoter`]: the full VDX-configured service —
-//!   spawn sensor feeders from a recorded trace, run hub + sink, collect
-//!   fused outputs;
-//! * [`tcp`] — the same hub over real `std::net` sockets, for deployments
-//!   that split sensors and voter across machines.
+//! * [`edge`] — the [`edge::EdgeVoter`]: the full VDX-configured service
+//!   in-process — replay a recorded trace through a hub and a
+//!   [`avoc_core::VotingEngine`], collect fused outputs;
+//! * [`reactor`] — the epoll/poll event loop pool that serves the wire
+//!   protocol over TCP for the `avoc-serve` daemon.
 //!
 //! # Example
 //!
@@ -43,8 +40,6 @@ pub mod edge;
 pub mod hub;
 pub mod message;
 pub mod reactor;
-pub mod sink;
-pub mod tcp;
 
 pub use cork::{CorkMetrics, CorkedWriter, FlushOutcome, WriterStats};
 pub use edge::EdgeVoter;
@@ -53,8 +48,6 @@ pub use message::{
     BatchReading, BatchResult, Message, SpecSource, MAX_BATCH_READINGS, MAX_BATCH_RESULTS,
 };
 pub use reactor::{
-    spawn_pool, ConnWaker, DecodeStep, FrameVerdict, Handler, ReactorConfig, ReactorHandle,
-    ReactorMetrics, ReactorPool, StreamDecoder,
+    spawn_pool, ConnWaker, DecodeStep, FrameVerdict, Handler, ReactorConfig, ReactorMetrics,
+    ReactorPool, StreamDecoder,
 };
-pub use sink::SinkNode;
-pub use tcp::{SensorClient, TcpHub};

@@ -10,8 +10,8 @@
 //! makes *zero* syscalls (each loop parks in `epoll_wait` with no timeout
 //! unless a deadline is armed).
 //!
-//! [`spawn`] runs the classic single reactor. [`spawn_pool`] runs R of
-//! them ([`ReactorPool`]), each with its own epoll instance, slab, timer
+//! [`spawn_pool`] runs R reactors ([`ReactorPool`]; R = 1 is the classic
+//! single reactor), each with its own epoll instance, slab, timer
 //! wheel, and wake pipe; nothing readiness-related is shared between
 //! them. Listener distribution prefers `SO_REUSEPORT` (one listener per
 //! reactor, the kernel load-balances handshakes); where that is
@@ -52,7 +52,7 @@ mod timer;
 pub use decoder::{DecodeStep, StreamDecoder};
 pub use metrics::ReactorMetrics;
 
-use crate::cork::{CorkMetrics, CorkedWriter, FlushOutcome, DEFAULT_CORK_LIMIT};
+use crate::cork::{CorkMetrics, CorkedWriter, FlushOutcome};
 use crate::message::Message;
 use avoc_obs::Counter;
 use crossbeam::channel::Receiver;
@@ -90,7 +90,9 @@ const MAX_READS_PER_EVENT: usize = 16;
 pub const DEFAULT_WRITE_DEADLINE: Duration = Duration::from_secs(5);
 
 /// Accept-queue depth the reactor re-arms on its listener (clamped by the
-/// kernel to `net.core.somaxconn`).
+/// kernel to `net.core.somaxconn`). `std`'s bind hardwires 128, which a
+/// many-hundred-connection storm overflows — the kernel then resets
+/// handshakes the clients believe completed.
 pub const DEFAULT_ACCEPT_BACKLOG: i32 = 1024;
 
 /// What [`Handler::on_frame`] wants done with the connection.
@@ -188,19 +190,11 @@ impl ConnWaker {
     }
 }
 
-/// Tuning and instrumentation for [`spawn`].
+/// Tuning and instrumentation for one reactor of [`spawn_pool`].
 #[derive(Debug, Default)]
 pub struct ReactorConfig {
     /// Wedged-peer deadline ([`DEFAULT_WRITE_DEADLINE`] when `None`).
     pub write_deadline: Option<Duration>,
-    /// Cork threshold per connection ([`DEFAULT_CORK_LIMIT`] when `None`).
-    pub cork_limit: Option<usize>,
-    /// Accept-queue depth re-armed on the listener at spawn
-    /// ([`DEFAULT_ACCEPT_BACKLOG`] when `None`; the kernel clamps to
-    /// `net.core.somaxconn`). `std`'s bind hardwires 128, which a
-    /// many-hundred-connection storm overflows — the kernel then resets
-    /// handshakes the clients believe completed.
-    pub accept_backlog: Option<i32>,
     /// Pin the `poll(2)` backend even where epoll exists (the
     /// `AVOC_FORCE_POLL` environment variable does the same).
     pub force_poll: bool,
@@ -216,65 +210,27 @@ pub struct ReactorConfig {
     pub health: Option<avoc_obs::Health>,
 }
 
-/// A running reactor. Dropping the handle without calling
-/// [`ReactorHandle::shutdown`] leaves the thread running (detached).
+/// One running reactor of a [`ReactorPool`]. Dropping the handle without
+/// calling [`ReactorHandle::shutdown`] leaves the thread running
+/// (detached).
 #[derive(Debug)]
-pub struct ReactorHandle {
+struct ReactorHandle {
     stop: Arc<AtomicBool>,
     shared: Arc<WakeShared>,
     join: JoinHandle<()>,
     backend: &'static str,
-    local_addr: SocketAddr,
 }
 
 impl ReactorHandle {
-    /// The listener's bound address.
-    pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
-    }
-
-    /// Which readiness backend the reactor selected (`"epoll"` or
-    /// `"poll"`).
-    pub fn backend(&self) -> &'static str {
-        self.backend
-    }
-
     /// Stops the loop and joins the thread. Every live connection gets
     /// [`Handler::on_close`] and a best-effort bounded flush of its
     /// queued results (sockets are flipped back to blocking with the
     /// write deadline as timeout).
-    pub fn shutdown(self) {
+    fn shutdown(self) {
         self.stop.store(true, Ordering::SeqCst);
         let _ = self.shared.pipe.notify();
         let _ = self.join.join();
     }
-}
-
-/// Binds nothing itself: takes an already-bound listener, moves it onto a
-/// new `avoc-net-reactor` thread, and serves until
-/// [`ReactorHandle::shutdown`].
-///
-/// # Errors
-///
-/// Propagates wake-pipe creation, non-blocking mode, and registration
-/// failures.
-pub fn spawn<H: Handler>(
-    listener: TcpListener,
-    handler: H,
-    config: ReactorConfig,
-) -> io::Result<ReactorHandle> {
-    let local_addr = listener.local_addr()?;
-    spawn_core(
-        handler,
-        config,
-        CoreSetup {
-            listener: Some(listener),
-            shared: WakeShared::new()?,
-            peers: Vec::new(),
-            paused_listeners: Arc::new(AtomicUsize::new(0)),
-            local_addr,
-        },
-    )
 }
 
 /// Everything one reactor thread needs beyond handler + config: its
@@ -285,7 +241,6 @@ struct CoreSetup {
     shared: Arc<WakeShared>,
     peers: Vec<Arc<WakeShared>>,
     paused_listeners: Arc<AtomicUsize>,
-    local_addr: SocketAddr,
 }
 
 fn spawn_core<H: Handler>(
@@ -298,7 +253,6 @@ fn spawn_core<H: Handler>(
         shared,
         peers,
         paused_listeners,
-        local_addr,
     } = setup;
     let mut poller = Poller::new(config.force_poll);
     let backend = poller.backend();
@@ -306,10 +260,7 @@ fn spawn_core<H: Handler>(
         listener.set_nonblocking(true)?;
         // Best-effort: a listener the caller already tuned (or a platform
         // where re-listen fails) keeps its existing backlog.
-        let _ = sysio::widen_backlog(
-            listener.as_raw_fd(),
-            config.accept_backlog.unwrap_or(DEFAULT_ACCEPT_BACKLOG),
-        );
+        let _ = sysio::widen_backlog(listener.as_raw_fd(), DEFAULT_ACCEPT_BACKLOG);
         poller.add(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)?;
     }
     poller.add(shared.pipe.read_fd(), TOKEN_WAKE, Interest::READ)?;
@@ -327,7 +278,6 @@ fn spawn_core<H: Handler>(
         timers: TimerWheel::new(Instant::now()),
         expired: Vec::new(),
         write_deadline: config.write_deadline.unwrap_or(DEFAULT_WRITE_DEADLINE),
-        cork_limit: config.cork_limit.unwrap_or(DEFAULT_CORK_LIMIT),
         metrics: config.metrics,
         cork_metrics: config.cork_metrics,
         bytes_received: config.bytes_received,
@@ -346,7 +296,6 @@ fn spawn_core<H: Handler>(
         shared,
         join,
         backend,
-        local_addr,
     })
 }
 
@@ -428,7 +377,6 @@ where
     use std::net::ToSocketAddrs;
     let r = reactors.max(1);
     let configs: Vec<ReactorConfig> = (0..r).map(&mut config_for).collect();
-    let backlog = configs[0].accept_backlog.unwrap_or(DEFAULT_ACCEPT_BACKLOG);
     let bind_addr = addr.to_socket_addrs()?.next().ok_or_else(|| {
         io::Error::new(io::ErrorKind::InvalidInput, "address resolves to nothing")
     })?;
@@ -440,13 +388,13 @@ where
     let mut accept_mode = "single";
     let mut listeners: Vec<Option<TcpListener>> = Vec::with_capacity(r);
     if r > 1 && !poll_forced(configs[0].force_poll) {
-        if let Ok(first) = sysio::reuseport_listener(bind_addr, backlog) {
+        if let Ok(first) = sysio::reuseport_listener(bind_addr, DEFAULT_ACCEPT_BACKLOG) {
             // Port 0 resolved to a concrete port on the first bind; the
             // siblings must join that exact port's reuseport group.
             let concrete = first.local_addr()?;
             let mut group = vec![Some(first)];
             while group.len() < r {
-                match sysio::reuseport_listener(concrete, backlog) {
+                match sysio::reuseport_listener(concrete, DEFAULT_ACCEPT_BACKLOG) {
                     Ok(l) => group.push(Some(l)),
                     Err(_) => break,
                 }
@@ -489,7 +437,6 @@ where
             shared: Arc::clone(&shareds[i]),
             peers,
             paused_listeners: Arc::clone(&paused_listeners),
-            local_addr,
         };
         match spawn_core(handler_for(i), config, setup) {
             Ok(h) => handles.push(h),
@@ -501,7 +448,7 @@ where
             }
         }
     }
-    let backend = handles[0].backend();
+    let backend = handles[0].backend;
     Ok(ReactorPool {
         reactors: handles,
         local_addr,
@@ -572,7 +519,6 @@ struct Core<H: Handler> {
     timers: TimerWheel,
     expired: Vec<TimerEntry>,
     write_deadline: Duration,
-    cork_limit: usize,
     metrics: Option<ReactorMetrics>,
     cork_metrics: Option<CorkMetrics>,
     bytes_received: Option<Counter>,
@@ -721,7 +667,7 @@ impl<H: Handler> Core<H> {
             shared: Arc::clone(&self.shared),
         };
         let (state, out_rx) = self.handler.on_open(waker.clone());
-        let mut writer = CorkedWriter::with_cork_limit(stream, self.cork_limit);
+        let mut writer = CorkedWriter::new(stream);
         if let Some(cm) = &self.cork_metrics {
             writer.set_metrics(cm.clone());
         }
@@ -1252,13 +1198,13 @@ mod tests {
     fn run_echo_roundtrip(force_poll: bool) {
         let _gate = serial();
         let closes = Arc::new(AtomicU64::new(0));
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let handle = spawn(
-            listener,
-            Echo {
+        let handle = spawn_pool(
+            "127.0.0.1:0",
+            1,
+            |_| Echo {
                 closes: Arc::clone(&closes),
             },
-            ReactorConfig {
+            |_| ReactorConfig {
                 force_poll,
                 ..ReactorConfig::default()
             },
@@ -1350,13 +1296,13 @@ mod tests {
         let metrics = ReactorMetrics::register(&registry, &[]);
         let health = avoc_obs::Health::new();
         let closes = Arc::new(AtomicU64::new(0));
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let handle = spawn(
-            listener,
-            Echo {
+        let handle = spawn_pool(
+            "127.0.0.1:0",
+            1,
+            |_| Echo {
                 closes: Arc::clone(&closes),
             },
-            ReactorConfig {
+            |_| ReactorConfig {
                 metrics: Some(metrics.clone()),
                 health: Some(health.clone()),
                 ..ReactorConfig::default()
@@ -1449,13 +1395,13 @@ mod tests {
         );
         let injected_before = sysio::fault::injected_total();
         let closes = Arc::new(AtomicU64::new(0));
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let handle = spawn(
-            listener,
-            Echo {
+        let handle = spawn_pool(
+            "127.0.0.1:0",
+            1,
+            |_| Echo {
                 closes: Arc::clone(&closes),
             },
-            ReactorConfig::default(),
+            |_| ReactorConfig::default(),
         )
         .unwrap();
         let mut client = TcpStream::connect(handle.local_addr()).unwrap();
@@ -1657,13 +1603,13 @@ mod tests {
 
     #[test]
     fn shutdown_is_immediate_without_spurious_ticks() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let handle = spawn(
-            listener,
-            Echo {
+        let handle = spawn_pool(
+            "127.0.0.1:0",
+            1,
+            |_| Echo {
                 closes: Arc::new(AtomicU64::new(0)),
             },
-            ReactorConfig::default(),
+            |_| ReactorConfig::default(),
         )
         .unwrap();
         // No connections, no timers: the loop is parked in epoll_wait with

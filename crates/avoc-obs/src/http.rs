@@ -3,19 +3,33 @@
 //! Just enough protocol for an admin plane: a GET-only request parser with
 //! a hard size cap (no allocation proportional to attacker input beyond the
 //! capped read buffer), a response writer that always sends
-//! `Content-Length` and `Connection: close`, and a tiny blocking GET client
+//! `Content-Length` and `Connection: close`, the one admin [`serve`] loop
+//! every admin plane runs its routes on, and a tiny blocking GET client
 //! for tests, benches and CI smoke probes. The parser returns typed errors
 //! — [`ParseError::TooLarge`] maps to `431`, [`ParseError::BadMethod`] to
 //! `405`, [`ParseError::BadRequest`] to `400` — and never panics, whatever
 //! the bytes (property-tested in `tests/proptests.rs`).
 
 use std::io::{self, Read, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Hard cap on the request head (request line + headers). Anything longer
 /// is rejected with `431 Request Header Fields Too Large`.
 pub const MAX_REQUEST_BYTES: usize = 8 * 1024;
+
+/// How long an admin connection may dribble its request head before being
+/// dropped (scrapers send the whole head at once; anything slower is a
+/// stuck or hostile peer).
+const READ_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Most connection handlers one [`serve`] loop runs at once. A connection
+/// accepted while this many are in flight is answered `503` and closed on
+/// the accept thread, so idle sockets cannot pin unbounded threads.
+pub const MAX_IN_FLIGHT: usize = 16;
 
 /// Why a request head failed to parse.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -148,6 +162,127 @@ pub fn write_response(
     stream.flush()
 }
 
+/// A running [`serve`] loop.
+#[derive(Debug)]
+pub struct Server {
+    local_addr: SocketAddr,
+    running: Arc<AtomicBool>,
+    join: JoinHandle<()>,
+}
+
+impl Server {
+    /// The address scrapers should hit.
+    pub fn local_addr(&self) -> SocketAddr {
+        self.local_addr
+    }
+
+    /// Stops accepting and joins the accept thread. In-flight responses
+    /// finish; new connections are refused.
+    pub fn stop(self) {
+        self.running.store(false, Ordering::SeqCst);
+        // Unblock the accept() call with a throwaway connection.
+        let _ = TcpStream::connect(self.local_addr);
+        let _ = self.join.join();
+    }
+}
+
+/// Binds `addr` (e.g. `"127.0.0.1:0"`) and serves GET requests with
+/// `route` on an accept thread named `thread_name`, one short-lived
+/// handler thread per connection (at most [`MAX_IN_FLIGHT`]).
+///
+/// `route` maps a parsed request to `(status, content type, body)`. The
+/// loop answers hostile input itself: oversized heads `431`, non-GET
+/// methods `405`, malformed heads `400`; a head not complete within five
+/// seconds is dropped.
+///
+/// # Errors
+///
+/// Propagates bind errors.
+pub fn serve<F>(addr: &str, thread_name: &str, route: F) -> io::Result<Server>
+where
+    F: Fn(&Request) -> (u16, &'static str, String) + Send + Sync + 'static,
+{
+    let listener = TcpListener::bind(addr)?;
+    let local_addr = listener.local_addr()?;
+    let running = Arc::new(AtomicBool::new(true));
+    let join = {
+        let running = Arc::clone(&running);
+        let route = Arc::new(route);
+        std::thread::Builder::new()
+            .name(thread_name.into())
+            .spawn(move || accept_loop(&listener, &running, &route))?
+    };
+    Ok(Server {
+        local_addr,
+        running,
+        join,
+    })
+}
+
+fn accept_loop<F>(listener: &TcpListener, running: &AtomicBool, route: &Arc<F>)
+where
+    F: Fn(&Request) -> (u16, &'static str, String) + Send + Sync + 'static,
+{
+    let mut conns: Vec<JoinHandle<()>> = Vec::new();
+    while running.load(Ordering::SeqCst) {
+        let Ok((mut stream, _)) = listener.accept() else {
+            break;
+        };
+        if !running.load(Ordering::SeqCst) {
+            break; // the stop() wake-up connection
+        }
+        // Reap finished handlers so a long-lived daemon under periodic
+        // scraping does not accumulate join handles.
+        conns.retain(|c| !c.is_finished());
+        if conns.len() >= MAX_IN_FLIGHT {
+            let _ = respond_status(&mut stream, 503);
+            continue;
+        }
+        let route = Arc::clone(route);
+        conns.push(std::thread::spawn(move || {
+            let _ = serve_connection(stream, &*route);
+        }));
+    }
+    for c in conns {
+        let _ = c.join();
+    }
+}
+
+/// Reads one request (bounded by [`MAX_REQUEST_BYTES`]), answers it, closes.
+fn serve_connection(
+    mut stream: TcpStream,
+    route: &impl Fn(&Request) -> (u16, &'static str, String),
+) -> io::Result<()> {
+    stream.set_read_timeout(Some(READ_TIMEOUT))?;
+    let mut buf = Vec::with_capacity(1024);
+    let mut chunk = [0u8; 1024];
+    loop {
+        match parse_request(&buf) {
+            Ok(req) => {
+                let (status, content_type, body) = route(&req);
+                return write_response(&mut stream, status, content_type, &body);
+            }
+            Err(ParseError::Incomplete) => {}
+            Err(e) => return respond_status(&mut stream, e.status()),
+        }
+        let n = stream.read(&mut chunk)?;
+        if n == 0 {
+            return Ok(()); // peer went away mid-request
+        }
+        buf.extend_from_slice(&chunk[..n]);
+    }
+}
+
+/// A plain-text response whose body is the status's reason phrase.
+fn respond_status(stream: &mut TcpStream, status: u16) -> io::Result<()> {
+    write_response(
+        stream,
+        status,
+        "text/plain; charset=utf-8",
+        &format!("{}\n", reason(status)),
+    )
+}
+
 /// A blocking GET against `addr` (e.g. `127.0.0.1:9200`), returning the
 /// status code and body. Five-second timeouts on every phase; used by
 /// tests, `bench_serve`'s live scrape, and the CI smoke probe.
@@ -252,31 +387,13 @@ mod tests {
 
     #[test]
     fn client_and_parser_round_trip_over_tcp() {
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        let server = std::thread::spawn(move || {
-            let (mut conn, _) = listener.accept().unwrap();
-            let mut buf = Vec::new();
-            let mut chunk = [0u8; 1024];
-            loop {
-                let n = conn.read(&mut chunk).unwrap();
-                buf.extend_from_slice(&chunk[..n]);
-                match parse_request(&buf) {
-                    Err(ParseError::Incomplete) if n > 0 => continue,
-                    Ok(req) => {
-                        let body = format!("path={}", req.path());
-                        write_response(&mut conn, 200, "text/plain", &body).unwrap();
-                        break;
-                    }
-                    _ => {
-                        write_response(&mut conn, 400, "text/plain", "bad").unwrap();
-                        break;
-                    }
-                }
-            }
-        });
+        let server = serve("127.0.0.1:0", "http-test", |req| {
+            (200, "text/plain", format!("path={}", req.path()))
+        })
+        .unwrap();
+        let addr = server.local_addr().to_string();
         let (status, body) = get(&addr, "/healthz").unwrap();
-        server.join().unwrap();
+        server.stop();
         assert_eq!(status, 200);
         assert_eq!(body, "path=/healthz");
     }

@@ -20,9 +20,10 @@
 //!   (persistence, segments, accept) each carry an `ok`/`degraded`/
 //!   `critical` level with a reason; the worst domain decides what
 //!   `/healthz` answers (`200` vs `503` + JSON reasons).
-//! * [`http`] — a minimal, hostile-input-hardened HTTP/1.1 request parser
-//!   and response writer, the substrate for the daemon's admin endpoint
-//!   (`/metrics`, `/healthz`, `/sessions`, `/trace`), plus a tiny blocking
+//! * [`http`] — a minimal, hostile-input-hardened HTTP/1.1 request parser,
+//!   response writer and bounded [`http::serve`] loop: the one admin server
+//!   the daemon and the gateway run their routes on (`/metrics`,
+//!   `/healthz`, `/sessions`, `/trace`, `/members`), plus a tiny blocking
 //!   GET client for tests, benches and smoke probes.
 //!
 //! The registry and ring are deliberately clock-free at the API level:

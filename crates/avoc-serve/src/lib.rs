@@ -46,10 +46,11 @@
 //!   tenant loses its own overflow (counted) instead of stalling the fleet.
 //! * [`TcpServer`] / [`ServeClient`] — the socket front-end and a small
 //!   blocking client for it.
-//! * [`AdminServer`] — an optional plain-HTTP observability endpoint
-//!   (`/metrics`, `/healthz`, `/stats`, `/sessions`, `/trace`) built on
-//!   [`avoc_obs`]'s registry and span ring; enabled via
-//!   [`ServeConfig::admin_addr`], off by default.
+//! * the admin routes — an optional plain-HTTP observability endpoint
+//!   (`/metrics`, `/healthz`, `/stats`, `/sessions`, `/segments`,
+//!   `/trace`) served by [`avoc_obs::http::serve`] over [`avoc_obs`]'s
+//!   registry and span ring; enabled via [`ServeConfig::admin_addr`], off
+//!   by default.
 //!
 //! # Example (in-process)
 //!
@@ -90,7 +91,6 @@ mod session;
 mod shard;
 mod sink;
 
-pub use admin::AdminServer;
 pub use client::{
     ClientConfig, ClientIoStats, ClientStats, ResilientClient, RetryPolicy, ServeClient,
     MAX_REDIRECT_HOPS,

@@ -5,9 +5,8 @@
 //! JSON shape predates the registry and is kept byte-compatible), the
 //! Prometheus/JSON exposition behind the admin endpoint, and the per-tenant
 //! fuse-latency histograms (`avoc_session_fuse_latency_ns{session="..."}`)
-//! the scrape path serves. Recording stays lock-free — handles are relaxed
-//! atomics — and only the legacy latency reservoir takes a lock, for a push
-//! into a fixed ring.
+//! the scrape path serves. Recording stays lock-free: handles are relaxed
+//! atomics, and callers record through the `pub(crate)` handles directly.
 
 use avoc_net::{CorkMetrics, ReactorMetrics};
 use avoc_obs::{Counter, Gauge, Health, HealthLevel, Histogram, Registry, TraceRing};
@@ -15,28 +14,23 @@ use parking_lot::Mutex;
 use serde::Serialize;
 use std::collections::{HashMap, HashSet};
 
-/// How many fuse-latency samples the reservoir keeps. Old samples are
-/// overwritten ring-style, so the p99 reflects recent behaviour rather than
-/// the whole process lifetime.
-const LATENCY_RESERVOIR: usize = 4096;
-
 /// Live counters shared by every shard and connection of one daemon.
 ///
 /// All hot-path fields are registry handles (relaxed atomics); only the
-/// latency reservoir and the session directory take locks, and never on the
-/// per-reading path.
+/// session directory and the degraded-session set take locks, and never on
+/// the per-reading path.
 #[derive(Debug)]
 pub struct ServiceCounters {
     registry: Registry,
     trace: TraceRing,
-    sessions_opened: Counter,
-    sessions_evicted: Counter,
-    sessions_rejected: Counter,
+    pub(crate) sessions_opened: Counter,
+    pub(crate) sessions_evicted: Counter,
+    pub(crate) sessions_rejected: Counter,
     rounds_fused: Counter,
-    fallbacks: Counter,
-    readings_dropped: Counter,
-    results_dropped: Counter,
-    result_batches: Counter,
+    pub(crate) fallbacks: Counter,
+    pub(crate) readings_dropped: Counter,
+    pub(crate) results_dropped: Counter,
+    pub(crate) result_batches: Counter,
     bytes_sent: Counter,
     bytes_received: Counter,
     frames_sent: Counter,
@@ -52,14 +46,14 @@ pub struct ServiceCounters {
     /// once however many readings it carries, so
     /// `shard_handoff_sends / readings` is the handoff amortisation factor
     /// the burst path exists to improve.
-    shard_handoff_sends: Counter,
-    recoveries: Counter,
-    resumed_sessions: Counter,
-    retries: Counter,
-    checkpoint_bytes: Counter,
+    pub(crate) shard_handoff_sends: Counter,
+    pub(crate) recoveries: Counter,
+    pub(crate) resumed_sessions: Counter,
+    pub(crate) retries: Counter,
+    pub(crate) checkpoint_bytes: Counter,
     wal_replay_ns: Counter,
     segment_load_ns: Counter,
-    torn_tail_recoveries: Counter,
+    pub(crate) torn_tail_recoveries: Counter,
     compactions: Counter,
     segment_rounds_folded: Counter,
     segment_bytes_written: Counter,
@@ -71,7 +65,7 @@ pub struct ServiceCounters {
     /// Service-wide fuse latency on the log-linear nanosecond scale.
     fuse_latency_ns: Histogram,
     /// Checkpoint (one WAL frame) latency.
-    checkpoint_latency_ns: Histogram,
+    pub(crate) checkpoint_latency_ns: Histogram,
     /// WAL replay latency per recovered session.
     wal_replay_latency_ns: Histogram,
     /// Segment-tier cold-resume latency per recovered session (the fast
@@ -79,7 +73,6 @@ pub struct ServiceCounters {
     segment_load_latency_ns: Histogram,
     /// One compaction pass (fold + merge) end to end.
     compaction_latency_ns: Histogram,
-    latency: Mutex<LatencyReservoir>,
     /// Live sessions, for the admin `/sessions` view. Touched only at
     /// session open/resume/close — never per reading.
     directory: Mutex<HashMap<u64, SessionEntry>>,
@@ -91,7 +84,7 @@ pub struct ServiceCounters {
     /// `persistence` health domain is degraded while this is non-empty.
     degraded_ids: Mutex<HashSet<u64>>,
     /// Checkpoint attempts that failed (WAL write or store creation error).
-    checkpoint_failures: Counter,
+    pub(crate) checkpoint_failures: Counter,
     /// Times any session entered degraded (memory-only) persistence.
     degraded_entered: Counter,
     /// Sessions currently running memory-only.
@@ -102,12 +95,12 @@ pub struct ServiceCounters {
     /// matrix asserts it moved).
     fault_injected: Counter,
     /// Sessions exported (checkpoint-shipped) to another node.
-    sessions_exported: Counter,
+    pub(crate) sessions_exported: Counter,
     /// Sessions imported from another node's checkpoint shipment.
-    sessions_imported: Counter,
+    pub(crate) sessions_imported: Counter,
     /// Checkpoints skipped at recovery because their meta named another
     /// node (the session migrated away; its files are the target's now).
-    sessions_skipped_foreign: Counter,
+    pub(crate) sessions_skipped_foreign: Counter,
 }
 
 /// What the directory remembers about one live session.
@@ -118,20 +111,6 @@ struct SessionEntry {
     /// The session's registered fuse histogram; its `count()` is the
     /// session's fused-round total.
     fuse: Histogram,
-}
-
-#[derive(Debug, Default)]
-struct LatencyReservoir {
-    /// Ring of recent per-fuse latencies in nanoseconds.
-    samples: Vec<u64>,
-    /// Next ring slot.
-    head: usize,
-    /// Total samples ever recorded.
-    count: u64,
-    /// Sum over all samples ever recorded (for the lifetime mean).
-    sum_ns: u128,
-    /// Lifetime minimum.
-    min_ns: u64,
 }
 
 impl ServiceCounters {
@@ -282,7 +261,6 @@ impl ServiceCounters {
                 "Compaction pass (fold + merge) latency, nanoseconds.",
                 &[],
             ),
-            latency: Mutex::new(LatencyReservoir::default()),
             directory: Mutex::new(HashMap::new()),
             health: Health::new(),
             degraded_ids: Mutex::new(HashSet::new()),
@@ -328,11 +306,6 @@ impl ServiceCounters {
     /// reactor and rendered by `/healthz`).
     pub fn health(&self) -> Health {
         self.health.clone()
-    }
-
-    /// Counts one failed checkpoint attempt.
-    pub(crate) fn checkpoint_failure(&self) {
-        self.checkpoint_failures.inc();
     }
 
     /// A session entered degraded (memory-only) persistence: count the
@@ -451,46 +424,6 @@ impl ServiceCounters {
         format!("[{}]\n", rows.join(", "))
     }
 
-    pub(crate) fn session_opened(&self) {
-        self.sessions_opened.inc();
-    }
-
-    pub(crate) fn session_evicted(&self) {
-        self.sessions_evicted.inc();
-    }
-
-    pub(crate) fn session_rejected(&self) {
-        self.sessions_rejected.inc();
-    }
-
-    pub(crate) fn fallback(&self) {
-        self.fallbacks.inc();
-    }
-
-    pub(crate) fn reading_dropped(&self) {
-        self.readings_dropped.inc();
-    }
-
-    /// Counts every reading a refused or shed burst carried, so
-    /// `readings_dropped` keeps counting readings, not commands.
-    pub(crate) fn readings_dropped_add(&self, n: u64) {
-        self.readings_dropped.add(n);
-    }
-
-    pub(crate) fn result_dropped(&self) {
-        self.results_dropped.inc();
-    }
-
-    /// Counts every result a shed batch frame carried, so
-    /// `results_dropped` keeps counting rounds, not frames.
-    pub(crate) fn results_dropped_add(&self, n: u64) {
-        self.results_dropped.add(n);
-    }
-
-    pub(crate) fn result_batch(&self) {
-        self.result_batches.inc();
-    }
-
     /// Reactor `index`'s health cells — handed to
     /// [`avoc_net::reactor::spawn_pool`]'s per-reactor config so each
     /// event loop records into its own `{reactor="i"}` series on the same
@@ -500,11 +433,6 @@ impl ServiceCounters {
     pub(crate) fn reactor_metrics(&self, index: usize) -> ReactorMetrics {
         let i = index.min(self.reactors.len() - 1);
         self.reactors[i].clone()
-    }
-
-    /// Counts one channel send into a shard's data mailbox.
-    pub(crate) fn handoff_send(&self) {
-        self.shard_handoff_sends.inc();
     }
 
     /// The wire-egress cells as a [`CorkMetrics`] handle set: every
@@ -526,27 +454,6 @@ impl ServiceCounters {
         self.bytes_received.clone()
     }
 
-    pub(crate) fn recovery(&self) {
-        self.recoveries.inc();
-    }
-
-    pub(crate) fn session_resumed(&self) {
-        self.resumed_sessions.inc();
-    }
-
-    pub(crate) fn retry(&self) {
-        self.retries.inc();
-    }
-
-    pub(crate) fn checkpoint_bytes_add(&self, bytes: u64) {
-        self.checkpoint_bytes.add(bytes);
-    }
-
-    /// Records one checkpoint's write latency.
-    pub(crate) fn checkpoint_latency_record(&self, ns: u64) {
-        self.checkpoint_latency_ns.record(ns);
-    }
-
     pub(crate) fn wal_replay_ns_add(&self, ns: u64) {
         self.wal_replay_ns.add(ns);
         self.wal_replay_latency_ns.record(ns);
@@ -557,11 +464,6 @@ impl ServiceCounters {
     pub(crate) fn segment_load_ns_add(&self, ns: u64) {
         self.segment_load_ns.add(ns);
         self.segment_load_latency_ns.record(ns);
-    }
-
-    /// Counts a WAL open that had to truncate a torn final frame.
-    pub(crate) fn torn_tail_recovered(&self) {
-        self.torn_tail_recoveries.inc();
     }
 
     /// Records one compaction pass: how much it folded, what it wrote, how
@@ -584,36 +486,6 @@ impl ServiceCounters {
     pub(crate) fn round_fused(&self, latency_ns: u64) {
         self.rounds_fused.inc();
         self.fuse_latency_ns.record(latency_ns);
-        let mut res = self.latency.lock();
-        if res.samples.len() < LATENCY_RESERVOIR {
-            res.samples.push(latency_ns);
-        } else {
-            let head = res.head;
-            res.samples[head] = latency_ns;
-        }
-        res.head = (res.head + 1) % LATENCY_RESERVOIR;
-        res.count += 1;
-        res.sum_ns += u128::from(latency_ns);
-        res.min_ns = if res.count == 1 {
-            latency_ns
-        } else {
-            res.min_ns.min(latency_ns)
-        };
-    }
-
-    /// Counts one session exported (checkpoint-shipped) to another node.
-    pub(crate) fn session_exported(&self) {
-        self.sessions_exported.inc();
-    }
-
-    /// Counts one session imported from another node's shipment.
-    pub(crate) fn session_imported(&self) {
-        self.sessions_imported.inc();
-    }
-
-    /// Counts one recovery checkpoint skipped for naming another node.
-    pub(crate) fn session_skipped_foreign(&self) {
-        self.sessions_skipped_foreign.inc();
     }
 
     /// Raises a shard's queue-depth high-water mark to `depth` if higher.
@@ -633,23 +505,13 @@ impl ServiceCounters {
         if injected > cur {
             self.fault_injected.add(injected - cur);
         }
-        let latency = {
-            let res = self.latency.lock();
-            if res.count == 0 {
-                None
-            } else {
-                let mut recent: Vec<u64> = res.samples.clone();
-                recent.sort_unstable();
-                // Nearest-rank percentile: ceil(0.99 * n) as a 1-based rank.
-                let p99_idx = (recent.len() * 99).div_ceil(100).saturating_sub(1);
-                Some(LatencySummary {
-                    samples: res.count,
-                    min_us: res.min_ns as f64 / 1e3,
-                    mean_us: (res.sum_ns as f64 / res.count as f64) / 1e3,
-                    p99_us: recent[p99_idx] as f64 / 1e3,
-                })
-            }
-        };
+        let fuse = self.fuse_latency_ns.snapshot();
+        let latency = (fuse.count > 0).then(|| LatencySummary {
+            samples: fuse.count,
+            min_us: fuse.min as f64 / 1e3,
+            mean_us: fuse.mean() / 1e3,
+            p99_us: fuse.quantile(0.99) as f64 / 1e3,
+        });
         CountersSnapshot {
             sessions_opened: self.sessions_opened.get(),
             sessions_evicted: self.sessions_evicted.get(),
@@ -702,7 +564,7 @@ impl ServiceCounters {
     }
 }
 
-/// Fuse-latency statistics over the recent reservoir.
+/// Fuse-latency statistics, read off the `avoc_fuse_latency_ns` histogram.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct LatencySummary {
     /// Total fuses recorded over the daemon's lifetime.
@@ -711,7 +573,9 @@ pub struct LatencySummary {
     pub min_us: f64,
     /// Lifetime mean, microseconds.
     pub mean_us: f64,
-    /// 99th percentile of the recent reservoir, microseconds.
+    /// Lifetime 99th percentile, microseconds: a log-linear histogram
+    /// estimate (9 buckets per decade, interpolated within the bucket and
+    /// clamped to the observed min/max), not an exact rank.
     pub p99_us: f64,
 }
 
@@ -851,7 +715,7 @@ mod tests {
     #[test]
     fn snapshot_serializes_to_json() {
         let c = ServiceCounters::new(1);
-        c.session_opened();
+        c.sessions_opened.inc();
         c.round_fused(5_000);
         let json = c.snapshot().to_json();
         assert!(json.contains("\"sessions_opened\": 1"));
@@ -863,10 +727,10 @@ mod tests {
     #[test]
     fn wire_counters_accumulate() {
         let c = ServiceCounters::new(1);
-        c.result_batch();
-        c.result_batch();
-        c.results_dropped_add(7);
-        c.result_dropped();
+        c.result_batches.inc();
+        c.result_batches.inc();
+        c.results_dropped.add(7);
+        c.results_dropped.inc();
         c.bytes_received_counter().add(1024);
         // The egress cells are fed directly by corked writers holding the
         // service's handle set — the reactor wires every connection this
@@ -893,14 +757,14 @@ mod tests {
     #[test]
     fn recovery_counters_accumulate() {
         let c = ServiceCounters::new(1);
-        c.recovery();
-        c.session_resumed();
-        c.session_resumed();
-        c.retry();
-        c.retry();
-        c.retry();
-        c.checkpoint_bytes_add(100);
-        c.checkpoint_bytes_add(28);
+        c.recoveries.inc();
+        c.resumed_sessions.inc();
+        c.resumed_sessions.inc();
+        c.retries.inc();
+        c.retries.inc();
+        c.retries.inc();
+        c.checkpoint_bytes.add(100);
+        c.checkpoint_bytes.add(28);
         c.wal_replay_ns_add(2_500_000);
         let snap = c.snapshot();
         assert_eq!(snap.recoveries, 1);
@@ -914,7 +778,7 @@ mod tests {
     fn segment_tier_counters_accumulate() {
         let c = ServiceCounters::new(1);
         c.segment_load_ns_add(1_500_000);
-        c.torn_tail_recovered();
+        c.torn_tail_recoveries.inc();
         c.compaction_recorded(120, 4096, 3_000_000, 2);
         c.compaction_recorded(30, 1024, 1_000_000, 1);
         let snap = c.snapshot();
@@ -930,20 +794,20 @@ mod tests {
     }
 
     #[test]
-    fn reservoir_wraps_without_losing_lifetime_stats() {
+    fn many_samples_keep_lifetime_stats() {
         let c = ServiceCounters::new(1);
-        for i in 0..(LATENCY_RESERVOIR as u64 + 100) {
+        for i in 0..4196u64 {
             c.round_fused(1_000 + i);
         }
         let lat = c.snapshot().fuse_latency.unwrap();
-        assert_eq!(lat.samples, LATENCY_RESERVOIR as u64 + 100);
+        assert_eq!(lat.samples, 4196);
         assert!((lat.min_us - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn counters_surface_on_the_registry_scrape() {
         let c = ServiceCounters::new(1);
-        c.session_opened();
+        c.sessions_opened.inc();
         c.round_fused(2_000);
         c.note_queue_depth(0, 9);
         let text = c.registry().render_prometheus();

@@ -477,7 +477,7 @@ impl VoterService {
                 continue;
             };
             if !meta.owned_by(self.persistence.node_id) {
-                self.counters.session_skipped_foreign();
+                self.counters.sessions_skipped_foreign.inc();
                 foreign += 1;
                 continue;
             }
@@ -744,7 +744,7 @@ impl VoterService {
             },
         };
         if routed.is_ok() {
-            self.counters.handoff_send();
+            self.counters.shard_handoff_sends.inc();
         }
         routed
     }
@@ -759,11 +759,12 @@ impl VoterService {
                 recycle,
                 ..
             } => {
-                self.counters.readings_dropped_add(readings.len() as u64);
+                // Count readings, not commands: a burst carries many.
+                self.counters.readings_dropped.add(readings.len() as u64);
                 readings.clear();
                 let _ = recycle.try_send(readings);
             }
-            _ => self.counters.reading_dropped(),
+            _ => self.counters.readings_dropped.inc(),
         }
     }
 

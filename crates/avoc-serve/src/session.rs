@@ -159,7 +159,7 @@ impl Session {
         counters: &ServiceCounters,
     ) {
         self.uncreated = Some(Box::new(recipe));
-        counters.checkpoint_failure();
+        counters.checkpoint_failures.inc();
         self.enter_degraded(counters, err);
     }
 
@@ -261,7 +261,7 @@ impl Session {
                 voted,
             };
             if self.sink.try_send(msg).is_err() {
-                counters.result_dropped();
+                counters.results_dropped.inc();
             }
             return;
         }
@@ -279,9 +279,10 @@ impl Session {
                 results,
             };
             if self.sink.try_send(msg).is_err() {
-                counters.results_dropped_add(chunk.len() as u64);
+                // Count rounds, not frames: a shed batch carries many.
+                counters.results_dropped.add(chunk.len() as u64);
             } else {
-                counters.result_batch();
+                counters.result_batches.inc();
             }
         }
     }
@@ -314,7 +315,7 @@ impl Session {
         match self.try_checkpoint(counters) {
             Ok(()) => self.ckpt_failures = 0,
             Err(e) => {
-                counters.checkpoint_failure();
+                counters.checkpoint_failures.inc();
                 self.ckpt_failures += 1;
                 if self.ckpt_failures >= DEGRADE_AFTER {
                     self.enter_degraded(counters, &e);
@@ -343,8 +344,10 @@ impl Session {
         let started = Instant::now();
         store.note_history(&self.engine.histories());
         let bytes = store.checkpoint(self.high_round, &self.results)?;
-        counters.checkpoint_bytes_add(bytes);
-        counters.checkpoint_latency_record(started.elapsed().as_nanos() as u64);
+        counters.checkpoint_bytes.add(bytes);
+        counters
+            .checkpoint_latency_ns
+            .record(started.elapsed().as_nanos() as u64);
         Ok(())
     }
 
@@ -376,7 +379,7 @@ impl Session {
                 );
             }
             Err(_) => {
-                counters.checkpoint_failure();
+                counters.checkpoint_failures.inc();
                 self.probe_backoff = (self.probe_backoff * 2).min(PROBE_BACKOFF_CAP);
                 self.probe_in = self.probe_backoff;
             }
@@ -423,7 +426,7 @@ impl Session {
             addr: addr.to_string(),
         };
         if self.sink.try_send(msg).is_err() {
-            counters.result_dropped();
+            counters.results_dropped.inc();
         }
     }
 
@@ -488,7 +491,7 @@ impl Session {
             warm,
         };
         if self.sink.try_send(msg).is_err() {
-            counters.result_dropped();
+            counters.results_dropped.inc();
         }
     }
 
@@ -529,7 +532,7 @@ impl Session {
                     self.pending_sampled = true;
                 }
                 if matches!(result, RoundResult::Fallback { .. }) {
-                    counters.fallback();
+                    counters.fallbacks.inc();
                 }
                 // Numeric sessions carry the fused value on the wire;
                 // vector/text verdicts are reported as voted-but-opaque
@@ -564,7 +567,7 @@ impl Session {
                     message: format!("round {}: {e}", round.round),
                 };
                 if self.sink.try_send(reply).is_err() {
-                    counters.result_dropped();
+                    counters.results_dropped.inc();
                 }
             }
         }
@@ -577,7 +580,7 @@ impl Session {
             message: format!("session evicted: {reason}"),
         };
         if self.sink.try_send(notice).is_err() {
-            counters.result_dropped();
+            counters.results_dropped.inc();
         }
     }
 }

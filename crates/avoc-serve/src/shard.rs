@@ -416,7 +416,7 @@ impl ShardWorker {
                         wal,
                     };
                     if sink.try_send(reply).is_err() {
-                        self.counters.result_dropped();
+                        self.counters.results_dropped.inc();
                     }
                     // The tenant re-homes without waiting for a failure.
                     s.announce_redirect(epoch, target_addr, &self.counters);
@@ -427,7 +427,7 @@ impl ShardWorker {
                     st.sessions.remove(&session);
                     self.counters.deregister_session(session);
                     self.active.fetch_sub(1, Ordering::Relaxed);
-                    self.counters.session_exported();
+                    self.counters.sessions_exported.inc();
                 }
                 Err(e) => {
                     let notice = Message::Error {
@@ -435,7 +435,7 @@ impl ShardWorker {
                         message: format!("export failed: {e}"),
                     };
                     if sink.try_send(notice).is_err() {
-                        self.counters.result_dropped();
+                        self.counters.results_dropped.inc();
                     }
                 }
             }
@@ -455,9 +455,9 @@ impl ShardWorker {
                     wal,
                 };
                 if sink.try_send(reply).is_err() {
-                    self.counters.result_dropped();
+                    self.counters.results_dropped.inc();
                 }
-                self.counters.session_exported();
+                self.counters.sessions_exported.inc();
                 return;
             }
             // Cold export: the session has durable state this node owns but
@@ -487,9 +487,9 @@ impl ShardWorker {
                                 wal,
                             };
                             if sink.try_send(reply).is_err() {
-                                self.counters.result_dropped();
+                                self.counters.results_dropped.inc();
                             }
-                            self.counters.session_exported();
+                            self.counters.sessions_exported.inc();
                         }
                         Err(e) => {
                             let notice = Message::Error {
@@ -497,7 +497,7 @@ impl ShardWorker {
                                 message: format!("export failed: {e}"),
                             };
                             if sink.try_send(notice).is_err() {
-                                self.counters.result_dropped();
+                                self.counters.results_dropped.inc();
                             }
                         }
                     }
@@ -510,7 +510,7 @@ impl ShardWorker {
             message: "export failed: session not found on this node".into(),
         };
         if sink.try_send(notice).is_err() {
-            self.counters.result_dropped();
+            self.counters.results_dropped.inc();
         }
     }
 
@@ -532,7 +532,7 @@ impl ShardWorker {
                     warm: true,
                 };
                 if req.sink.try_send(ack).is_err() {
-                    self.counters.result_dropped();
+                    self.counters.results_dropped.inc();
                 }
             } else {
                 self.refuse(
@@ -561,7 +561,7 @@ impl ShardWorker {
             );
             return;
         }
-        self.counters.session_imported();
+        self.counters.sessions_imported.inc();
         self.resume(st, req, None, true);
     }
 
@@ -693,7 +693,7 @@ impl ShardWorker {
             // Genuinely unknown session: late (evicted, or sent after
             // Close) or misrouted. Counted as a drop, but no error frame —
             // per-reading errors would amplify a flood.
-            self.counters.reading_dropped();
+            self.counters.readings_dropped.inc();
         }
         if st.tick.is_multiple_of(SWEEP_INTERVAL) && st.tick > st.idle_due {
             self.sweep(st);
@@ -747,7 +747,7 @@ impl ShardWorker {
                     s.announce_resumed(false, &self.counters);
                 }
                 st.sessions.insert(req.session, s);
-                self.counters.session_opened();
+                self.counters.sessions_opened.inc();
                 true
             }
             Err(e) => {
@@ -766,14 +766,14 @@ impl ShardWorker {
     /// ack floor.
     fn resume(&self, st: &mut ShardState, req: OpenReq, last_acked: Option<u64>, eager: bool) {
         if !eager {
-            self.counters.retry();
+            self.counters.retries.inc();
         }
         // 1. Live session: re-attach if the token proves ownership.
         if let Some(s) = st.sessions.get_mut(&req.session) {
             if s.resumable() && s.token() == req.token {
                 let floor = if eager { s.high_round() } else { last_acked };
                 s.reattach(req.sink, floor, st.tick, &self.counters);
-                self.counters.session_resumed();
+                self.counters.resumed_sessions.inc();
             } else {
                 self.refuse(&req.sink, req.session, "resume token mismatch");
             }
@@ -814,7 +814,7 @@ impl ShardWorker {
                     self.counters.wal_replay_ns_add(elapsed);
                 }
                 if info.torn_tail {
-                    self.counters.torn_tail_recovered();
+                    self.counters.torn_tail_recoveries.inc();
                 }
                 if meta.token != req.token {
                     // Someone else's durable state: refuse rather than
@@ -857,9 +857,9 @@ impl ShardWorker {
                             let floor = if eager { high_round } else { last_acked };
                             s.replay_results(floor, &self.counters);
                             st.sessions.insert(req.session, s);
-                            self.counters.recovery();
+                            self.counters.recoveries.inc();
                             if !eager {
-                                self.counters.session_resumed();
+                                self.counters.resumed_sessions.inc();
                             }
                         }
                         Err(e) => {
@@ -948,9 +948,9 @@ impl ShardWorker {
             message: message.into(),
         };
         if sink.try_send(notice).is_err() {
-            self.counters.result_dropped();
+            self.counters.results_dropped.inc();
         }
-        self.counters.session_rejected();
+        self.counters.sessions_rejected.inc();
     }
 
     /// Evicts the least-recently-active session, flushing it first. Its
@@ -969,7 +969,7 @@ impl ShardWorker {
         s.notify_evicted("capacity reclaimed for a new session", &self.counters);
         self.counters.deregister_session(victim);
         self.active.fetch_sub(1, Ordering::Relaxed);
-        self.counters.session_evicted();
+        self.counters.sessions_evicted.inc();
         true
     }
 
@@ -988,7 +988,7 @@ impl ShardWorker {
             s.notify_evicted("idle timeout", &self.counters);
             self.counters.deregister_session(id);
             self.active.fetch_sub(1, Ordering::Relaxed);
-            self.counters.session_evicted();
+            self.counters.sessions_evicted.inc();
         }
         // A session opened later starts at a tick past this one, so its
         // deadline is past `tick + idle_ticks` too.

@@ -1,7 +1,7 @@
-//! The full middleware pipeline of Fig. 1: sensor feeders speaking the
-//! binary wire protocol → hub assembling rounds (deadline-flushing silent
-//! sensors) → sink node running a VDX-configured voting engine. Dropout
-//! faults are injected so the missing-value path is exercised end to end.
+//! The full middleware pipeline of Fig. 1, in-process: every sensor's
+//! wire-protocol `Reading`/`Missing` messages → hub assembling rounds →
+//! a VDX-configured voting engine fusing each one. Dropout faults are
+//! injected so the missing-value path is exercised end to end.
 //!
 //! ```text
 //! cargo run --release --example edge_pipeline

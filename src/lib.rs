@@ -17,7 +17,7 @@
 //! | [`vdx`] | `avoc-vdx` | the VDX JSON spec, validation, voter factory, VDL compatibility |
 //! | [`sim`] | `avoc-sim` | light-sensor and BLE-beacon scenario generators, fault injection |
 //! | [`store`] | `avoc-store` | durable/shared/cached history datastores |
-//! | [`net`] | `avoc-net` | wire protocol, sensor hub, sink node, edge voter service |
+//! | [`net`] | `avoc-net` | wire protocol, sensor hub, reactor pool, edge voter service |
 //! | [`serve`] | `avoc-serve` | sharded multi-tenant voter daemon, TCP server + client |
 //! | [`gateway`] | `avoc-gateway` | multi-node routing tier: hash-ring placement, migration |
 //! | [`obs`] | `avoc-obs` | metric registry, latency histograms, trace ring, scrape HTTP |

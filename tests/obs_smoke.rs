@@ -94,6 +94,19 @@ fn admin_endpoint_serves_metrics_sessions_and_traces() {
     assert!(text.contains(&format!("avoc_rounds_fused_total {fused}")));
     assert!(text.contains(&format!("avoc_fuse_latency_ns_count {fused}")));
     assert!(text.contains("avoc_fuse_latency_ns_bucket{le=\"+Inf\"}"));
+    // One series per quantity: writer egress is scraped under the daemon's
+    // own names only, never a second `avoc_net_*` copy.
+    for name in ["avoc_bytes_sent_total", "avoc_writer_flushes_total"] {
+        assert!(text.contains(&format!("\n{name} ")), "{name} missing");
+    }
+    for name in [
+        "avoc_net_frames_sent_total",
+        "avoc_net_writer_flushes_total",
+        "avoc_net_writer_writes_total",
+        "avoc_net_bytes_sent_total",
+    ] {
+        assert!(!text.contains(name), "duplicate series {name} scraped");
+    }
 
     // JSON exposition: one per-tenant histogram per session, and their
     // counts sum to the rounds fused.
@@ -143,6 +156,11 @@ fn admin_endpoint_serves_metrics_sessions_and_traces() {
     assert_eq!(status, 200);
     let admin_snap: serde_json::Value = serde_json::from_str(&admin_stats).expect("valid JSON");
     assert_eq!(admin_snap["rounds_fused"].as_u64().unwrap(), fused);
+    assert_eq!(
+        admin_snap["fuse_latency"]["samples"].as_u64().unwrap(),
+        fused,
+        "fuse-latency samples come from the same histogram as the scrape"
+    );
 
     // Closing the tenants empties the directory; the metric series stay.
     for session in 0..SESSIONS {
@@ -244,5 +262,42 @@ fn admin_endpoint_survives_hostile_requests() {
     // None of that took the daemon down.
     let (status, body) = http::get(&admin_str, "/healthz").expect("healthz");
     assert_eq!((status, body.as_str()), (200, "ok\n"));
+    server.shutdown();
+}
+
+#[test]
+fn admin_endpoint_caps_in_flight_handlers() {
+    let (server, _wire, admin) = start_daemon();
+    let admin_str = admin.to_string();
+
+    // Idle peers that never send a head each pin one handler thread
+    // (until the 5 s head timeout). Past the cap, the accept thread
+    // answers 503 itself instead of spawning another.
+    let idle: Vec<TcpStream> = (0..http::MAX_IN_FLIGHT)
+        .map(|_| TcpStream::connect(admin).expect("idle connect"))
+        .collect();
+    assert!(raw_status(admin, b"").contains("503"));
+
+    // Releasing them frees the handlers; the endpoint serves again. Until
+    // the accept thread has reaped them, a probe may still meet the cap:
+    // the 503 is written without reading the request, so the close can
+    // reset the connection before the probe reads the answer.
+    drop(idle);
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    loop {
+        match http::get(&admin_str, "/healthz") {
+            Ok((200, body)) => {
+                assert_eq!(body, "ok\n");
+                break;
+            }
+            Ok((503, _)) | Err(_) => {}
+            Ok(other) => panic!("unexpected healthz answer {other:?}"),
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "admin endpoint never recovered"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
     server.shutdown();
 }

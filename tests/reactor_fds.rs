@@ -232,12 +232,18 @@ fn thread_census_is_independent_of_open_connections() {
     let server = TcpServer::start("127.0.0.1:0", Arc::clone(&service)).expect("bind");
     let addr = server.local_addr();
     // A thread's name is set from inside the thread itself, so the census
-    // only stabilises once every just-spawned worker has run.
+    // only stabilises once every just-spawned worker has run: wait for the
+    // exact count, or a reactor still naming itself is missed here and
+    // counted below.
+    let expected_census = 2 + server.reactor_count();
     let (ok, idle_threads) = settle(Duration::from_secs(5), || {
         let n = avoc_threads();
-        (n >= 3, n)
+        (n == expected_census, n)
     });
-    assert!(ok, "expected at least shards + reactor, saw {idle_threads}");
+    assert!(
+        ok,
+        "census must be exactly shards + reactors = {expected_census}, saw {idle_threads}"
+    );
 
     let mut clients = Vec::new();
     for session in 0..50u64 {
